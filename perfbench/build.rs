@@ -1,0 +1,15 @@
+//! Records the compiler version the benchmark was built with.
+
+fn main() {
+    let rustc = std::env::var("RUSTC").unwrap_or_else(|_| "rustc".to_string());
+    let version = std::process::Command::new(rustc)
+        .arg("--version")
+        .output()
+        .ok()
+        .filter(|o| o.status.success())
+        .map_or("unknown".to_string(), |o| {
+            String::from_utf8_lossy(&o.stdout).trim().to_string()
+        });
+    println!("cargo:rustc-env=PERFBENCH_RUSTC={version}");
+    println!("cargo:rerun-if-changed=build.rs");
+}
