@@ -30,7 +30,7 @@
 //! `AuditChain::recover`) is safe there and unsafe everywhere else.
 
 use hvac_control::DtPolicy;
-use hvac_dtree::{prove_equivalence, CompileOptions, CompiledTree};
+use hvac_dtree::{prove_equivalence, CompiledTree};
 use hvac_env::Observation;
 use hvac_env::Policy;
 use hvac_telemetry::json::{parse, ObjectWriter};
@@ -593,7 +593,7 @@ impl<'a> Auditor<'a> {
                 }
             }
             if detail.is_ok() {
-                match CompiledTree::from_compact_string(artifact, CompileOptions::default()) {
+                match CompiledTree::from_compact_string(artifact) {
                     Err(e) => detail = Err(format!("compiled artifact does not parse: {e}")),
                     Ok(kernel) => {
                         if let Some(policy) = self.policy {

@@ -5,7 +5,8 @@
 //! counter updates, and one flight-recorder push (a handful of relaxed
 //! atomic stores). This bench measures what that costs two ways:
 //!
-//! 1. **End to end**: the same toy policy is served with the ops plane
+//! 1. **End to end**: the same toy policy is served (as a one-tenant
+//!    fleet, the way `serve --policy` does) with the ops plane
 //!    fully off (`flight_capacity: 0`, `windowed: false`) and fully on
 //!    (defaults); the same request mix is fired at both in interleaved
 //!    trials (so OS scheduling drift hits both configurations equally)
@@ -34,7 +35,7 @@ use veri_hvac::control::DtPolicy;
 use veri_hvac::dtree::{DecisionTree, TreeConfig};
 use veri_hvac::env::space::feature;
 use veri_hvac::env::{ActionSpace, SetpointAction, POLICY_INPUT_DIM};
-use veri_hvac::{serve_with_options, OpsOptions, ServeOptions};
+use veri_hvac::{serve_fleet, Fleet, FleetOptions, OpsOptions};
 
 /// The serve tests' toy tree: cold zones heat hard, warm zones idle.
 fn toy_policy() -> DtPolicy {
@@ -69,11 +70,14 @@ fn ops_options(enabled: bool) -> OpsOptions {
 /// Fires `n` decisions at a freshly served policy and returns the
 /// client-observed per-request latencies in microseconds (unsorted).
 fn time_trial(enabled: bool, n: usize) -> Vec<f64> {
-    let options = ServeOptions {
+    let fleet = Fleet::new(FleetOptions {
         ops: ops_options(enabled),
-        ..ServeOptions::default()
-    };
-    let server = serve_with_options(toy_policy(), options, "127.0.0.1:0").expect("bind");
+        ..FleetOptions::default()
+    });
+    fleet
+        .add_tenant("default", toy_policy(), None)
+        .expect("tenant");
+    let server = serve_fleet(fleet, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
     for _ in 0..20 {
         let (status, _) =

@@ -4,7 +4,8 @@
 //! Every audited decision pays one hash-chained JSONL append
 //! (`AuditChain::append_decision`); how often that append reaches the
 //! OS is the `--audit-flush` policy. This bench serves the same toy
-//! policy once per variant over loopback HTTP — plain, then audited
+//! policy (a one-tenant fleet, as `serve --policy` does) once per
+//! variant over loopback HTTP — plain, then audited
 //! under `always` (the durable default), `every-n=64` (batched), and
 //! `interval-ms=25` (clock-driven) — fires the same request mix at
 //! each, and reports client-observed p50/p99 per decision plus the
@@ -20,14 +21,14 @@
 use hvac_bench::{fmt, parse_options, Scale, Table};
 use hvac_telemetry::http::blocking_request;
 use hvac_telemetry::json::ObjectWriter;
-use std::sync::Arc;
+use std::path::PathBuf;
 use std::time::Instant;
-use veri_hvac::audit::{AuditChain, ChainConfig, FlushPolicy};
+use veri_hvac::audit::FlushPolicy;
 use veri_hvac::control::DtPolicy;
 use veri_hvac::dtree::{DecisionTree, TreeConfig};
 use veri_hvac::env::space::feature;
 use veri_hvac::env::{ActionSpace, SetpointAction, POLICY_INPUT_DIM};
-use veri_hvac::{serve_with_options, ServeOptions};
+use veri_hvac::{serve_fleet, Fleet, FleetOptions};
 
 /// The serve tests' toy tree: cold zones heat hard, warm zones idle.
 fn toy_policy() -> DtPolicy {
@@ -47,15 +48,20 @@ fn toy_policy() -> DtPolicy {
     DtPolicy::new(tree).unwrap()
 }
 
-/// Fires `n` decisions at a freshly served policy (audited when `chain`
-/// is given) and returns the client-observed per-request latencies in
-/// microseconds, sorted ascending.
-fn time_requests(chain: Option<Arc<AuditChain>>, n: usize) -> Vec<f64> {
-    let options = ServeOptions {
-        audit: chain,
-        ..ServeOptions::default()
-    };
-    let server = serve_with_options(toy_policy(), options, "127.0.0.1:0").expect("bind");
+/// Fires `n` decisions at a freshly served policy (audited into
+/// `audit_dir` under `flush` when a directory is given) and returns the
+/// client-observed per-request latencies in microseconds, sorted
+/// ascending.
+fn time_requests(audit_dir: Option<PathBuf>, flush: FlushPolicy, n: usize) -> Vec<f64> {
+    let fleet = Fleet::new(FleetOptions {
+        audit_dir,
+        audit_flush: flush,
+        ..FleetOptions::default()
+    });
+    fleet
+        .add_tenant("default", toy_policy(), None)
+        .expect("tenant");
+    let server = serve_fleet(fleet, "127.0.0.1:0").expect("bind");
     let addr = server.addr();
     // Warm up the accept loop and the policy path off the clock.
     for _ in 0..20 {
@@ -85,22 +91,14 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 /// Runs the request mix through a fresh audited server under `flush`
 /// and returns sorted latencies.
 fn time_audited(flush: FlushPolicy, label: &str, decisions: usize) -> Vec<f64> {
-    let chain_path = std::env::temp_dir().join(format!("hvac-bench-serve-audit-{label}.jsonl"));
-    let policy_hash = veri_hvac::audit::policy_hash(&toy_policy());
-    let chain = Arc::new(
-        AuditChain::create(
-            &chain_path,
-            &policy_hash,
-            "",
-            ChainConfig {
-                flush,
-                ..ChainConfig::default()
-            },
-        )
-        .expect("audit chain"),
-    );
-    let samples = time_requests(Some(chain), decisions);
-    let _ = std::fs::remove_file(&chain_path);
+    let dir = std::env::temp_dir().join(format!(
+        "hvac-bench-serve-audit-{label}-{}",
+        std::process::id()
+    ));
+    // A fresh directory: the fleet would resume a leftover chain.
+    let _ = std::fs::remove_dir_all(&dir);
+    let samples = time_requests(Some(dir.clone()), flush, decisions);
+    let _ = std::fs::remove_dir_all(&dir);
     samples
 }
 
@@ -111,7 +109,7 @@ fn main() {
         Scale::Paper => 2000,
     };
 
-    let plain = time_requests(None, decisions);
+    let plain = time_requests(None, FlushPolicy::Always, decisions);
     let (p50_off, p99_off) = (percentile(&plain, 0.50), percentile(&plain, 0.99));
 
     // Audited variants, one per flush policy. The in-process append

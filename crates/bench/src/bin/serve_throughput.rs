@@ -1,12 +1,7 @@
-//! Fleet-serving throughput: the multi-tenant controller vs the
-//! single-global-mutex baseline.
+//! Fleet-serving throughput of the multi-tenant controller.
 //!
-//! Three serving variants answer the same 16-tenant workload:
+//! Two wire paths answer the same 16-tenant workload:
 //!
-//! * **baseline** — the pre-fleet path: one `serve_with_options`
-//!   endpoint, every request through one global `Mutex<GuardedPolicy>`,
-//!   one TCP connection per request (the old server always closed the
-//!   connection after answering);
 //! * **fleet/decide** — `serve_fleet` with 16 tenants behind sharded
 //!   per-tenant locks, each load generator holding a keep-alive
 //!   connection to `POST /decide/{tenant}`;
@@ -14,7 +9,7 @@
 //!   carries all 16 tenants' observations, coalesced into batched tree
 //!   evaluations.
 //!
-//! Each variant is driven closed-loop to saturation (measured
+//! Each path is driven closed-loop to saturation (measured
 //! decisions/s) and open-loop at increasing offered load (p50/p99 with
 //! latency measured from the *intended* send time, so coordinated
 //! omission cannot hide queueing). Every served decision is replayed
@@ -22,8 +17,7 @@
 //! audited run shuts down under load and must leave every tenant's
 //! chain sealed green.
 //!
-//! Results land in `BENCH_serve_throughput.json`. The acceptance
-//! target is ≥4× decisions/s for the fleet at 16 concurrent tenants.
+//! Results land in `BENCH_serve_throughput.json`.
 //!
 //! ```sh
 //! cargo run --release -p hvac-bench --bin serve_throughput [--paper] [--quiet]
@@ -33,7 +27,7 @@
 //! ```
 
 use hvac_bench::{fmt, Table};
-use hvac_telemetry::http::{blocking_request, BlockingClient};
+use hvac_telemetry::http::BlockingClient;
 use hvac_telemetry::json::{parse, JsonValue, ObjectWriter};
 use hvac_telemetry::{warn, Level, StderrSink};
 use std::net::SocketAddr;
@@ -45,7 +39,6 @@ use veri_hvac::dtree::{DecisionTree, TreeConfig};
 use veri_hvac::env::space::feature;
 use veri_hvac::env::{ActionSpace, Disturbances, Observation, SetpointAction, POLICY_INPUT_DIM};
 use veri_hvac::fleet::{serve_fleet, Fleet, FleetOptions};
-use veri_hvac::{serve_with_options, ServeOptions};
 
 /// Concurrent tenants (and load-generator clients) — the acceptance
 /// criterion's fleet size.
@@ -106,10 +99,9 @@ struct Measured {
 }
 
 /// Saturates a serving endpoint with `TENANTS` closed-loop clients,
-/// `steps` requests each. `keep_alive` selects the fleet wire (one
-/// persistent connection per client, path-addressed tenants) vs the
-/// baseline wire (one connection per request to the global `/decide`).
-fn closed_loop(addr: SocketAddr, steps: usize, keep_alive: bool, reference: &DtPolicy) -> Measured {
+/// `steps` requests each, one persistent connection per client to its
+/// path-addressed tenant.
+fn closed_loop(addr: SocketAddr, steps: usize, reference: &DtPolicy) -> Measured {
     let started = Instant::now();
     let handles: Vec<_> = (0..TENANTS)
         .map(|tenant| {
@@ -121,18 +113,12 @@ fn closed_loop(addr: SocketAddr, steps: usize, keep_alive: bool, reference: &DtP
                     .map(|step| format!(r#"{{"zone_temperature":{}}}"#, temp_for(tenant, step)))
                     .collect();
                 let path = format!("/decide/tenant-{tenant:02}");
-                let mut client = keep_alive.then(|| BlockingClient::connect(addr).unwrap());
+                let mut client = BlockingClient::connect(addr).unwrap();
                 let mut latencies = Vec::with_capacity(steps);
                 let mut responses = Vec::with_capacity(steps);
                 for body in &bodies {
                     let sent = Instant::now();
-                    let (status, text) = match &mut client {
-                        Some(c) => {
-                            let (status, _, text) = c.request("POST", &path, &[], body).unwrap();
-                            (status, text)
-                        }
-                        None => blocking_request(addr, "POST", "/decide", body).unwrap(),
-                    };
+                    let (status, _, text) = client.request("POST", &path, &[], body).unwrap();
                     latencies.push(sent.elapsed().as_secs_f64() * 1e6);
                     assert_eq!(status, 200, "{text}");
                     responses.push(text);
@@ -242,7 +228,6 @@ fn open_loop(
     tenants: Vec<String>,
     rate_rps: f64,
     duration: Duration,
-    keep_alive: bool,
 ) -> OpenLoopPoint {
     let interval = tenants.len() as f64 / rate_rps;
     let wall = duration.as_secs_f64();
@@ -251,7 +236,7 @@ fn open_loop(
         .map(|tenant| {
             std::thread::spawn(move || {
                 let path = format!("/decide/{tenant}");
-                let mut client = keep_alive.then(|| BlockingClient::connect(addr).unwrap());
+                let mut client = BlockingClient::connect(addr).unwrap();
                 let mut latencies = Vec::new();
                 let started = Instant::now();
                 let mut step = 0usize;
@@ -265,10 +250,7 @@ fn open_loop(
                         std::thread::sleep(Duration::from_secs_f64(intended - now));
                     }
                     let body = format!(r#"{{"zone_temperature":{}}}"#, temp_for(0, step));
-                    let status = match &mut client {
-                        Some(c) => c.request("POST", &path, &[], &body).unwrap().0,
-                        None => blocking_request(addr, "POST", "/decide", &body).unwrap().0,
-                    };
+                    let status = client.request("POST", &path, &[], &body).unwrap().0;
                     assert_eq!(status, 200);
                     latencies.push((started.elapsed().as_secs_f64() - intended) * 1e6);
                     step += 1;
@@ -426,7 +408,6 @@ fn run_external(options: &Options) {
         options.tenants.clone(),
         options.rate,
         Duration::from_secs(2),
-        true,
     );
     // Bit-identity when the served policy file is at hand: replay a
     // few observations in process and compare.
@@ -489,30 +470,11 @@ fn main() {
     let reference = toy_policy();
     let tenant_names: Vec<String> = (0..TENANTS).map(|t| format!("tenant-{t:02}")).collect();
 
-    // Baseline: one policy, one global mutex, one connection per
-    // request — the pre-fleet serve path's wire behavior.
-    let baseline_server =
-        serve_with_options(toy_policy(), ServeOptions::default(), "127.0.0.1:0").expect("bind");
-    let baseline = closed_loop(baseline_server.addr(), steps, false, &reference);
-    let baseline_open: Vec<OpenLoopPoint> = ladder
-        .iter()
-        .map(|&rate| {
-            open_loop(
-                baseline_server.addr(),
-                tenant_names.clone(),
-                rate,
-                Duration::from_secs_f64(open_secs),
-                false,
-            )
-        })
-        .collect();
-    baseline_server.shutdown();
-
-    // Fleet: sharded per-tenant guards, keep-alive clients, and the
-    // lockstep tick path.
+    // Sharded per-tenant guards, keep-alive clients, and the lockstep
+    // tick path.
     let fleet_server =
         serve_fleet(build_fleet(FleetOptions::default()), "127.0.0.1:0").expect("bind");
-    let fleet = closed_loop(fleet_server.addr(), steps, true, &reference);
+    let fleet = closed_loop(fleet_server.addr(), steps, &reference);
     let tick = closed_loop_tick(fleet_server.addr(), tick_rounds, &reference);
     let fleet_open: Vec<OpenLoopPoint> = ladder
         .iter()
@@ -522,7 +484,6 @@ fn main() {
                 tenant_names.clone(),
                 rate,
                 Duration::from_secs_f64(open_secs),
-                true,
             )
         })
         .collect();
@@ -530,44 +491,26 @@ fn main() {
 
     let green = audited_loaded_shutdown();
 
-    let speedup_decide = fleet.decisions_per_s / baseline.decisions_per_s;
-    let speedup_tick = tick.decisions_per_s / baseline.decisions_per_s;
     let mut table = Table::new(
         &format!("Serving throughput at {TENANTS} concurrent tenants (closed loop, loopback)"),
-        &[
-            "variant",
-            "decisions_per_s",
-            "p50_us",
-            "p99_us",
-            "vs_baseline",
-        ],
+        &["variant", "decisions_per_s", "p50_us", "p99_us"],
     );
-    for (label, m, speedup) in [
-        ("baseline (global mutex, conn/request)", &baseline, 1.0),
-        (
-            "fleet /decide (sharded, keep-alive)",
-            &fleet,
-            speedup_decide,
-        ),
-        ("fleet /tick (lockstep batch)", &tick, speedup_tick),
+    for (label, m) in [
+        ("fleet /decide (sharded, keep-alive)", &fleet),
+        ("fleet /tick (lockstep batch)", &tick),
     ] {
         table.push_row(vec![
             label.to_string(),
             fmt(m.decisions_per_s, 0),
             fmt(percentile(&m.latencies_us, 0.50), 1),
             fmt(percentile(&m.latencies_us, 0.99), 1),
-            format!("{speedup:.1}x"),
         ]);
     }
     table.print();
     if options.csv {
         // Matches the other harnesses' --csv behavior.
         let mut csv = String::from("variant,decisions_per_s,p50_us,p99_us\n");
-        for (label, m) in [
-            ("baseline", &baseline),
-            ("fleet_decide", &fleet),
-            ("fleet_tick", &tick),
-        ] {
+        for (label, m) in [("fleet_decide", &fleet), ("fleet_tick", &tick)] {
             csv.push_str(&format!(
                 "{label},{:.0},{:.1},{:.1}\n",
                 m.decisions_per_s,
@@ -583,58 +526,44 @@ fn main() {
         "offered vs achieved decisions/s",
         &["variant", "offered_rps", "achieved_rps", "p50_us", "p99_us"],
     );
-    for (label, points) in [("baseline", &baseline_open), ("fleet", &fleet_open)] {
-        for p in points.iter() {
-            open_table.push_row(vec![
-                label.to_string(),
-                fmt(p.offered_rps, 0),
-                fmt(p.achieved_rps, 0),
-                fmt(p.p50_us, 1),
-                fmt(p.p99_us, 1),
-            ]);
-        }
+    for p in &fleet_open {
+        open_table.push_row(vec![
+            "fleet".to_string(),
+            fmt(p.offered_rps, 0),
+            fmt(p.achieved_rps, 0),
+            fmt(p.p50_us, 1),
+            fmt(p.p99_us, 1),
+        ]);
     }
     open_table.print();
 
-    let identical = baseline.mismatches == 0 && fleet.mismatches == 0 && tick.mismatches == 0;
+    let identical = fleet.mismatches == 0 && tick.mismatches == 0;
     println!(
-        "\nbit-identity: {} (baseline {} / fleet {} / tick {} mismatches)",
+        "\nbit-identity: {} (fleet {} / tick {} mismatches)",
         if identical { "PASS" } else { "FAIL" },
-        baseline.mismatches,
         fleet.mismatches,
         tick.mismatches
     );
     println!("audited loaded shutdown: {green}/{TENANTS} chains sealed green");
-    println!(
-        "fleet speedup at {TENANTS} tenants: {speedup_decide:.1}x per-request, \
-         {speedup_tick:.1}x lockstep (target ≥4x)"
-    );
 
     let mut json = ObjectWriter::new();
     json.str_field("bench", "serve_throughput");
     json.str_field("scale", if options.paper { "paper" } else { "reduced" });
     json.u64_field("tenants", TENANTS as u64);
     json.u64_field("steps_per_client", steps as u64);
-    json.f64_field("baseline_rps", baseline.decisions_per_s);
-    json.f64_field("baseline_p50_us", percentile(&baseline.latencies_us, 0.50));
-    json.f64_field("baseline_p99_us", percentile(&baseline.latencies_us, 0.99));
     json.f64_field("fleet_rps", fleet.decisions_per_s);
     json.f64_field("fleet_p50_us", percentile(&fleet.latencies_us, 0.50));
     json.f64_field("fleet_p99_us", percentile(&fleet.latencies_us, 0.99));
     json.f64_field("tick_rps", tick.decisions_per_s);
     json.f64_field("tick_p50_us", percentile(&tick.latencies_us, 0.50));
     json.f64_field("tick_p99_us", percentile(&tick.latencies_us, 0.99));
-    json.f64_field("speedup_decide", speedup_decide);
-    json.f64_field("speedup_tick", speedup_tick);
     json.u64_field("bit_identical", u64::from(identical));
     json.u64_field("audited_chains_green", green as u64);
     json.u64_field("audited_chains_total", TENANTS as u64);
-    for (label, points) in [("baseline", &baseline_open), ("fleet", &fleet_open)] {
-        for p in points.iter() {
-            let key = format!("{label}_open_{:.0}", p.offered_rps);
-            json.f64_field(&format!("{key}_achieved_rps"), p.achieved_rps);
-            json.f64_field(&format!("{key}_p99_us"), p.p99_us);
-        }
+    for p in &fleet_open {
+        let key = format!("fleet_open_{:.0}", p.offered_rps);
+        json.f64_field(&format!("{key}_achieved_rps"), p.achieved_rps);
+        json.f64_field(&format!("{key}_p99_us"), p.p99_us);
     }
     let body = json.finish();
     std::fs::write("BENCH_serve_throughput.json", format!("{body}\n")).expect("write bench json");
@@ -644,9 +573,5 @@ fn main() {
     assert_eq!(
         green, TENANTS,
         "an audited chain failed after loaded shutdown"
-    );
-    assert!(
-        speedup_decide.max(speedup_tick) >= 4.0,
-        "fleet speedup {speedup_decide:.1}x / {speedup_tick:.1}x misses the 4x target"
     );
 }

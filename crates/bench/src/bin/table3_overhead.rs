@@ -21,8 +21,8 @@ use veri_hvac::control::{
 };
 use veri_hvac::env::{ComfortRange, HvacEnv, Policy};
 use veri_hvac::pipeline::PipelineArtifacts;
-use veri_hvac::serve_policy;
 use veri_hvac::stats::{OnlineStats, Quantiles};
+use veri_hvac::{serve_fleet, Fleet, FleetOptions};
 
 /// Times `policy` over one deployment episode, returning per-decision
 /// latency stats in milliseconds.
@@ -123,12 +123,16 @@ fn main() {
 }
 
 /// Serves the extracted policy over `POST /decide` on a loopback port
-/// and reports the end-to-end request latency — the paper's Table 3
+/// (as a one-tenant fleet, the way `serve --policy` does) and reports the end-to-end request latency — the paper's Table 3
 /// argument carried one step further: the tree is cheap enough that
 /// even a full HTTP round-trip stays in the sub-millisecond range.
 fn serve_latency_section(artifacts: &PipelineArtifacts, options: &hvac_bench::HarnessOptions) {
     const REQUESTS: usize = 200;
-    let server = match serve_policy(artifacts.policy.clone(), "127.0.0.1:0") {
+    let fleet = Fleet::new(FleetOptions::default());
+    fleet
+        .add_tenant("default", artifacts.policy.clone(), None)
+        .expect("tenant");
+    let server = match serve_fleet(fleet, "127.0.0.1:0") {
         Ok(server) => server,
         Err(e) => {
             println!("\n(serve-path latency skipped: cannot bind loopback server: {e})");

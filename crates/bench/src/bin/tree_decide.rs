@@ -1,7 +1,6 @@
 //! Decision latency of the tree kernels: reference enum walk vs the
-//! flat compiled kernel vs its fixed-point (quantized-threshold)
-//! variant, single-decision and batched, plus the end-to-end fleet
-//! `/tick` p99 delta the compiled path buys.
+//! flat compiled kernel, single-decision and batched, plus the
+//! end-to-end fleet `/tick` p99 delta the compiled path buys.
 //!
 //! Every timed path is first checked bit-identical against the enum
 //! walk over the full probe set — a fast kernel that disagrees with
@@ -21,7 +20,7 @@ use hvac_telemetry::json::ObjectWriter;
 use std::hint::black_box;
 use std::time::Instant;
 use veri_hvac::control::DtPolicy;
-use veri_hvac::dtree::{prove_equivalence, CompileOptions, CompiledTree, DecisionTree, TreeConfig};
+use veri_hvac::dtree::{prove_equivalence, CompiledTree, DecisionTree, TreeConfig};
 use veri_hvac::env::space::feature;
 use veri_hvac::env::{ActionSpace, Observation, POLICY_INPUT_DIM};
 use veri_hvac::fleet::{Fleet, FleetOptions};
@@ -125,7 +124,7 @@ fn main() {
     };
 
     let tree = fitted_tree(7, 8_000);
-    let kernel = CompiledTree::compile(&tree, CompileOptions { quantized: true }).expect("compile");
+    let kernel = CompiledTree::compile(&tree).expect("compile");
     let proof = prove_equivalence(&tree, &kernel).expect("equivalence");
     println!(
         "tree: {} nodes ({} splits, {} leaves, depth {}); equivalence proven over {} probes",
@@ -148,11 +147,6 @@ fn main() {
     for (i, x) in singles.iter().enumerate() {
         let reference = tree.predict(x).expect("walk");
         assert_eq!(reference, kernel.predict(x).expect("compiled"), "row {i}");
-        assert_eq!(
-            reference,
-            kernel.predict_quantized(x).expect("quantized"),
-            "row {i}"
-        );
         assert_eq!(reference, batch_out[i], "row {i} (batch)");
     }
 
@@ -164,11 +158,6 @@ fn main() {
     let compiled_single = time_ns(iters, singles.len(), || {
         for x in &singles {
             black_box(kernel.predict(black_box(x)).expect("compiled"));
-        }
-    });
-    let quantized_single = time_ns(iters, singles.len(), || {
-        for x in &singles {
-            black_box(kernel.predict_quantized(black_box(x)).expect("quantized"));
         }
     });
     let compiled_batch = time_ns(iters, singles.len(), || {
@@ -228,11 +217,6 @@ fn main() {
         fmt(speedup_single, 2),
     ]);
     table.push_row(vec![
-        "compiled (quantized)".into(),
-        fmt(quantized_single, 2),
-        fmt(walk_single / quantized_single, 2),
-    ]);
-    table.push_row(vec![
         format!("compiled batch ({rows_n})"),
         fmt(compiled_batch, 2),
         fmt(speedup_batch, 2),
@@ -251,7 +235,6 @@ fn main() {
     json.u64_field("rows", rows_n as u64);
     json.f64_field("walk_single_ns", walk_single);
     json.f64_field("compiled_single_ns", compiled_single);
-    json.f64_field("quantized_single_ns", quantized_single);
     json.f64_field("compiled_batch_ns", compiled_batch);
     json.f64_field("speedup_single", speedup_single);
     json.f64_field("speedup_batch", speedup_batch);

@@ -8,7 +8,7 @@
 //! (Table 3).
 
 use crate::error::ControlError;
-use hvac_dtree::{prove_equivalence, CompileOptions, CompiledTree, DecisionTree, EquivalenceProof};
+use hvac_dtree::{prove_equivalence, CompiledTree, DecisionTree, EquivalenceProof};
 use hvac_env::space::feature;
 use hvac_env::{ActionSpace, Observation, Policy, SetpointAction, POLICY_INPUT_DIM};
 
@@ -108,7 +108,7 @@ impl DtPolicy {
     /// policy then serves the enum walk).
     pub fn recompile(&mut self) -> Option<EquivalenceProof> {
         self.compiled = None;
-        let compiled = CompiledTree::compile(&self.tree, CompileOptions::default()).ok()?;
+        let compiled = CompiledTree::compile(&self.tree).ok()?;
         let proof = prove_equivalence(&self.tree, &compiled).ok()?;
         self.compiled = Some(compiled);
         Some(proof)

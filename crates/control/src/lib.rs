@@ -10,9 +10,6 @@
 //! | CLUE \[1\]        | uncertainty-gated MBRL with fallback   | [`ClueController`] |
 //! | DT (ours)       | extracted decision-tree policy         | [`DtPolicy`] |
 //!
-//! An MPPI planner ([`MppiController`]) is included as well — the paper
-//! cites it as the other stochastic optimizer used by MBRL HVAC work.
-//!
 //! All controllers implement [`hvac_env::Policy`], so any of them can be
 //! dropped into [`hvac_env::run_episode`] or the benchmark harnesses.
 //!
@@ -28,7 +25,6 @@ pub mod clue;
 pub mod dt_policy;
 pub mod error;
 pub mod guard;
-pub mod mppi;
 pub mod planner;
 pub mod random_shooting;
 pub mod rule_based;
@@ -39,7 +35,6 @@ pub use error::ControlError;
 pub use guard::{
     GuardConfig, GuardRoute, GuardSnapshot, GuardState, GuardStats, GuardTransition, GuardedPolicy,
 };
-pub use mppi::{MppiConfig, MppiController};
 pub use planner::{
     evaluate_sequence, evaluate_sequences_lockstep, forecast_rollout, persistence_rollout,
     ForecastMode, LockstepWorkspace, PlanningConfig, Predictor,

@@ -8,7 +8,7 @@
 //! veri-hvac inspect  --policy artifacts/policy.dtree [--dot]
 //! veri-hvac simulate --policy artifacts/policy.dtree --city pittsburgh --days 7
 //! veri-hvac serve    --policy artifacts/policy.dtree --addr 127.0.0.1:9464
-//!                    [--audit-log chain.jsonl] [--require-certificate]
+//!                    [--audit-log chains/chain.jsonl] [--require-certificate]
 //! veri-hvac serve    --fleet fleet.json [--audit-dir chains] [--workers 8]
 //! veri-hvac audit    --chain chain.jsonl --policy artifacts/policy.dtree
 //! ```
@@ -24,10 +24,11 @@
 //! per-run JSON reports plus an aggregate Table-2-style summary.
 //! `inspect` prints the policy's rules (or Graphviz DOT). `simulate`
 //! deploys a saved policy in the simulated building and reports
-//! energy/comfort metrics. `serve` loads a policy and answers
-//! `POST /decide` (plus `/metrics`, `/healthz`, `/summary.json`) until
-//! interrupted. Any long-running subcommand additionally exposes the
-//! observability routes when `--metrics-addr ADDR` is given.
+//! energy/comfort metrics. `serve` loads one policy (as a one-tenant
+//! fleet) or a fleet manifest and answers `POST /decide` (plus
+//! `/metrics`, `/healthz`, `/summary.json`) until interrupted. Any
+//! long-running subcommand additionally exposes the observability
+//! routes when `--metrics-addr ADDR` is given.
 
 use hvac_telemetry::json::{self, JsonValue, ObjectWriter};
 use hvac_telemetry::{error, info, JsonlSink, Level, StderrSink};
@@ -59,15 +60,14 @@ USAGE:
                      [--paper] [--noise LEVEL] [--conservative]
   veri-hvac inspect  --policy FILE [--dot]
   veri-hvac simulate --policy FILE --city <city> [--days N]
-  veri-hvac serve    --policy FILE [--addr HOST:PORT] [--audit-log FILE]
+  veri-hvac serve    --policy FILE | --fleet MANIFEST [--addr HOST:PORT]
+                     [--audit-log DIR/NAME.jsonl]   (--policy)
+                     [--certificate FILE] [--cache-dir DIR]   (--policy)
+                     [--audit-dir DIR]   (--fleet)
                      [--audit-flush always|every-n=K|interval-ms=T]
-                     [--flight-capacity N] [--certificate FILE]
-                     [--require-certificate] [--cache-dir DIR]
+                     [--workers N] [--max-inflight N] [--flight-capacity N]
+                     [--require-certificate] [--snapshot-every SECS]
                      [--duration SECS]
-  veri-hvac serve    --fleet MANIFEST [--addr HOST:PORT] [--audit-dir DIR]
-                     [--audit-flush POLICY] [--workers N] [--max-inflight N]
-                     [--flight-capacity N] [--require-certificate]
-                     [--snapshot-every SECS] [--duration SECS]
   veri-hvac audit    --chain FILE [--policy FILE] [--certificate FILE]
                      [--compiled FILE] [--cache-dir DIR] [--replay N]
                      [--allow-unsealed] [--json] [--recover]
@@ -96,27 +96,33 @@ to a rule-based fallback (the response's guard_state field names the
 rung), oversized bodies get 413, stalled requests 408, and parse
 failures a structured 422 JSON error.
 
-`serve --fleet MANIFEST` turns the endpoint into a multi-tenant fleet
-controller: the manifest is {\"tenants\":[{\"id\":…,\"policy\":PATH,
-\"certificate\":PATH?},…]} (relative paths resolve against the manifest's
-directory). Tenants sharing a tree share one registry entry; each
-building gets its own degradation guard behind its own lock, so one
-tenant's faulted sensors never degrade another. Routes grow to
-POST /decide/{tenant} (or a \"tenant\" body field), the lockstep batch
+Every serve is a fleet controller. `--policy FILE` serves one building
+as a one-tenant fleet (tenant id `default`) and caps request bodies at
+16 KiB. `--fleet MANIFEST` serves many: the manifest is
+{\"tenants\":[{\"id\":…,\"policy\":PATH,\"certificate\":PATH?},…]}
+(relative paths resolve against the manifest's directory). Tenants
+sharing a tree share one registry entry; each building gets its own
+degradation guard behind its own lock, so one tenant's faulted sensors
+never degrade another. Routes are POST /decide/{tenant} (or a
+\"tenant\" body field, optional with one tenant), the lockstep batch
 POST /tick ({\"requests\":[{\"tenant\":…,\"observation\":{…}},…]}), and
 GET /tenants. `--audit-dir DIR` records every tenant to its own
-hash-chained DIR/<tenant>.jsonl, all sealed after the worker pool
-drains on graceful shutdown; audit each with `veri-hvac audit`.
-`--workers N` sizes the HTTP worker pool, `--max-inflight N` caps
-concurrent connections (beyond it, new connections are shed with a 503
-carrying `Retry-After: 1`). A fleet restart over the same --audit-dir
-recovers each tenant's chain (torn tails truncated, a hash-covered
-recovery record appended) and rehydrates guard state from the
-DIR/<tenant>.state.json snapshots written every `--snapshot-every SECS`
-(default 30, 0 disables the periodic writer; graceful drain always
-snapshots). POST /admin/reload re-reads the manifest and atomically
-swaps added/changed/removed tenants without dropping in-flight batches;
-replaced tenants' chains are sealed and archived.
+hash-chained DIR/<tenant>.jsonl; `--audit-log DIR/NAME.jsonl` does the
+same for --policy, with NAME as the tenant id (the path must end in
+.jsonl and NAME must be 1-64 bytes of [A-Za-z0-9_-]). All chains are
+sealed after the worker pool drains on graceful shutdown; audit each
+with `veri-hvac audit`. `--workers N` sizes the HTTP worker pool,
+`--max-inflight N` caps concurrent connections (beyond it, new
+connections are shed with a 503 carrying `Retry-After: 1`); both apply
+to --policy too. A restart over the same audit dir or --audit-log
+resumes each chain (torn tails truncated, a hash-covered recovery
+record appended, never truncated away) and rehydrates guard state from
+the DIR/<tenant>.state.json snapshots written every
+`--snapshot-every SECS` (default 30, 0 disables the periodic writer;
+graceful drain always snapshots). POST /admin/reload (--fleet only)
+re-reads the manifest and atomically swaps added/changed/removed
+tenants without dropping in-flight batches; replaced tenants' chains
+are sealed and archived.
 
 `verify` writes certificate.json beside the policy: the verification
 verdict bound (SHA-256) to the exact policy bytes, inputs, and artifact
@@ -127,12 +133,11 @@ as policy.ctree, and commits its hash into the certificate
 --certificate FILE / the --cache-dir store), reports it on
 GET /version, warns when serving uncertified, and refuses with
 --require-certificate. A wrong or edited certificate is always refused.
-`serve --audit-log FILE` appends every decision and guard transition to
-a tamper-evident hash chain, sealed on graceful shutdown.
-`--audit-flush` trades append latency for durability: `always`
-(default) fsync-buffers every record, `every-n=K` flushes every K
-appends, `interval-ms=T` flushes once T ms have passed; the seal always
-flushes regardless. Serve also runs a live ops plane: every request
+Audit chains record every decision and guard transition in a
+tamper-evident hash chain. `--audit-flush` trades append latency for
+durability: `always` (default) fsync-buffers every record, `every-n=K`
+flushes every K appends, `interval-ms=T` flushes once T ms have
+passed; the seal always flushes regardless. Serve also runs a live ops plane: every request
 carries a trace id (client `X-Request-Id` or a minted `srv-…` id)
 echoed on the response, stamped into the audit chain, and captured in a
 lock-free flight recorder (`GET /debug/flight`, last N decisions,
@@ -888,7 +893,8 @@ fn resolve_certificate(
     Ok(Some(certificate))
 }
 
-/// One tenant entry of a `--fleet` manifest, resolved.
+/// One roster entry — a `--fleet` manifest tenant or the `--policy`
+/// building — resolved.
 struct ManifestTenant {
     id: String,
     policy: DtPolicy,
@@ -989,11 +995,7 @@ fn load_fleet_manifest(path: &str) -> Result<Vec<ManifestTenant>, String> {
     Ok(tenants)
 }
 
-/// `serve --fleet MANIFEST`: one process, many buildings — a policy
-/// registry (tenants sharing a tree share one entry), per-tenant
-/// guards behind sharded locks, optional per-tenant audit chains, and
-/// the lockstep `POST /tick` batch path.
-/// The certificate gate every manifest load (startup *and*
+/// The certificate gate every roster load (startup *and*
 /// `/admin/reload`) passes through: a NOT VERIFIED or missing
 /// certificate is fatal under `--require-certificate` and loud
 /// otherwise.
@@ -1052,19 +1054,95 @@ fn manifest_specs(manifest: &str, require_certificate: bool) -> Result<Vec<Tenan
         .collect())
 }
 
-fn cmd_serve_fleet(args: &Args, manifest: &str) -> Result<(), String> {
+/// The roster entry for `serve --policy FILE`: one building, served as
+/// a one-tenant fleet. Its certificate is found the way `audit` finds
+/// one ([`resolve_certificate`]). The tenant id is `default`; with
+/// `--audit-log DIR/NAME.jsonl` it is `NAME` and the audit dir is
+/// `DIR`, so the fleet's `<audit-dir>/<id>.jsonl` chain lands exactly
+/// at the requested path — and a restart resumes it.
+fn policy_tenant(
+    args: &Args,
+    policy_path: &str,
+) -> Result<(ManifestTenant, Option<PathBuf>), String> {
+    let (id, audit_dir) = match args.flag("audit-log") {
+        None => ("default".to_string(), None),
+        Some(log) => {
+            let log = Path::new(log);
+            let id = log
+                .file_stem()
+                .and_then(|stem| stem.to_str())
+                .filter(|stem| {
+                    log.extension().is_some_and(|ext| ext == "jsonl")
+                        && veri_hvac::valid_tenant_id(stem)
+                })
+                .ok_or_else(|| {
+                    format!(
+                        "--audit-log {}: want DIR/NAME.jsonl with NAME of 1-{} bytes of \
+                         [A-Za-z0-9_-]",
+                        log.display(),
+                        veri_hvac::fleet::MAX_TENANT_ID_BYTES
+                    )
+                })?;
+            let dir = log
+                .parent()
+                .filter(|dir| !dir.as_os_str().is_empty())
+                .unwrap_or(Path::new("."));
+            (id.to_string(), Some(dir.to_path_buf()))
+        }
+    };
+    let policy_path = Path::new(policy_path);
+    let policy_text = std::fs::read_to_string(policy_path)
+        .map_err(|e| format!("cannot read policy {}: {e}", policy_path.display()))?;
+    let policy = DtPolicy::from_compact_string(&policy_text).map_err(|e| e.to_string())?;
+    let certificate = resolve_certificate(args, policy_path, &hvac_audit::policy_hash(&policy))?;
+    info!(
+        "serving policy {} ({} nodes, depth {}) as tenant {id:?}",
+        policy_path.display(),
+        policy.tree().node_count(),
+        policy.tree().depth()
+    );
+    let tenant = ManifestTenant {
+        id,
+        policy,
+        certificate,
+    };
+    Ok((tenant, audit_dir))
+}
+
+/// `serve --policy FILE | --fleet MANIFEST`: one process, one or many
+/// buildings — a policy registry (tenants sharing a tree share one
+/// entry), per-tenant guards behind sharded locks, optional per-tenant
+/// audit chains, and the lockstep `POST /tick` batch path. Only a
+/// manifest can be reloaded.
+fn cmd_serve(args: &Args) -> Result<(), String> {
     let addr = args.flag("addr").unwrap_or("127.0.0.1:9464");
     let require_certificate = args.has("require-certificate");
-    let tenants = load_fleet_manifest(manifest)?;
+    let (tenants, audit_dir, reload) = match (args.flag("fleet"), args.flag("policy")) {
+        (Some(manifest), _) => {
+            // `POST /admin/reload` re-reads this same manifest with the
+            // same certificate gate the process started under.
+            let reload_manifest = manifest.to_string();
+            let reload: Arc<veri_hvac::ReloadSource> =
+                Arc::new(move || manifest_specs(&reload_manifest, require_certificate));
+            (
+                load_fleet_manifest(manifest)?,
+                args.flag("audit-dir").map(PathBuf::from),
+                Some(reload),
+            )
+        }
+        (None, Some(policy)) => {
+            let (tenant, audit_dir) = policy_tenant(args, policy)?;
+            (vec![tenant], audit_dir, None)
+        }
+        (None, None) => return Err("serve requires --policy FILE or --fleet MANIFEST".into()),
+    };
     gate_certificates(&tenants, require_certificate)?;
-
     let flush = args
         .flag("audit-flush")
         .map(hvac_audit::FlushPolicy::parse)
         .transpose()
         .map_err(|e| format!("--audit-flush: {e}"))?
         .unwrap_or(hvac_audit::FlushPolicy::Always);
-    let audit_dir = args.flag("audit-dir").map(PathBuf::from);
     let parse_count = |flag: &str| -> Result<Option<usize>, String> {
         args.flag(flag)
             .map(|n| {
@@ -1112,20 +1190,20 @@ fn cmd_serve_fleet(args: &Args, manifest: &str) -> Result<(), String> {
         fleet.policy_count()
     );
 
-    // `POST /admin/reload` re-reads this same manifest with the same
-    // certificate gate the process started under.
-    let reload_manifest = manifest.to_string();
-    let reload: Arc<veri_hvac::ReloadSource> =
-        Arc::new(move || manifest_specs(&reload_manifest, require_certificate));
-    let server = veri_hvac::serve_fleet_with_reload(fleet, addr, Some(reload))
+    let reloadable = reload.is_some();
+    let server = veri_hvac::serve_fleet_with_reload(fleet, addr, reload)
         .map_err(|e| format!("cannot bind fleet endpoint on {addr}: {e}"))?;
     println!("serving fleet on http://{}", server.addr());
     println!("  POST /decide/{{tenant}}  {{\"zone_temperature\": 18.5, ...}} -> setpoint action");
     println!("  POST /decide           same, tenant named by a \"tenant\" body field");
+    println!("                         (optional when the fleet has one tenant)");
     println!("  POST /tick             lockstep batch, one observation per tenant");
-    println!("  POST /admin/reload     re-read the manifest and swap the roster atomically");
+    if reloadable {
+        println!("  POST /admin/reload     re-read the manifest and swap the roster atomically");
+    }
     println!("  GET  /tenants          fleet roster with per-tenant guard state");
-    println!("  GET  /version          build, tenant and policy counts");
+    println!("  GET  /version          build, tenant and policy counts (+ policy hash and");
+    println!("                         certificate id when one policy is served)");
     println!("  GET  /metrics          Prometheus text format 0.0.4");
     println!("  GET  /healthz          liveness probe");
     if let Some(dir) = &audit_dir {
@@ -1136,151 +1214,8 @@ fn cmd_serve_fleet(args: &Args, manifest: &str) -> Result<(), String> {
     }
     hvac_telemetry::flush();
     match args.flag("duration") {
-        Some(secs) => {
-            let secs: u64 = secs
-                .parse()
-                .map_err(|_| format!("--duration must be a number of seconds, got {secs:?}"))?;
-            std::thread::sleep(std::time::Duration::from_secs(secs));
-            info!("--duration elapsed; shutting down");
-            server.shutdown();
-            Ok(())
-        }
-        None => loop {
-            std::thread::sleep(std::time::Duration::from_secs(3600));
-        },
-    }
-}
-
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    if let Some(manifest) = args.flag("fleet") {
-        return cmd_serve_fleet(args, manifest);
-    }
-    let policy_path = PathBuf::from(
-        args.flag("policy")
-            .ok_or("serve requires --policy (or --fleet MANIFEST)")?,
-    );
-    let addr = args.flag("addr").unwrap_or("127.0.0.1:9464");
-    let policy_text = std::fs::read_to_string(&policy_path).map_err(|e| e.to_string())?;
-    let policy = DtPolicy::from_compact_string(&policy_text).map_err(|e| e.to_string())?;
-    let policy_hash = hvac_audit::policy_hash(&policy);
-
-    // Certificate gate: verified-then-served is the paper's whole
-    // deployment story, so serving an uncertified policy is at minimum
-    // loud, and with --require-certificate a refusal.
-    let certificate = resolve_certificate(args, &policy_path, &policy_hash)?;
-    match &certificate {
-        Some(cert) if !cert.verified() && args.has("require-certificate") => {
-            return Err(format!(
-                "certificate {}… records a NOT VERIFIED outcome and --require-certificate \
-                 is set — fix and re-verify the policy first",
-                &cert.certificate_id[..12]
-            ));
-        }
-        Some(cert) => {
-            if !cert.verified() {
-                hvac_telemetry::warn!(
-                    "certificate {}… records a NOT VERIFIED outcome — serving anyway \
-                     (pass --require-certificate to refuse)",
-                    &cert.certificate_id[..12]
-                );
-            }
-            info!(
-                "serving under certificate {}… (criterion #1 {}/{} safe)",
-                &cert.certificate_id[..12],
-                cert.report.criterion_1.safe,
-                cert.report.criterion_1.total
-            );
-        }
-        None if args.has("require-certificate") => {
-            return Err(format!(
-                "no verification certificate for policy {policy_hash:.12}… and \
-                 --require-certificate is set — run `veri-hvac verify` first"
-            ));
-        }
-        None => hvac_telemetry::warn!(
-            "serving UNCERTIFIED policy {policy_hash:.12}… — run `veri-hvac verify` to \
-             certify it (or pass --require-certificate to refuse instead)"
-        ),
-    }
-
-    // Tamper-evident decision chain: every decision and guard
-    // transition, hash-chained and sealed on graceful shutdown.
-    let flush = args
-        .flag("audit-flush")
-        .map(hvac_audit::FlushPolicy::parse)
-        .transpose()
-        .map_err(|e| format!("--audit-flush: {e}"))?
-        .unwrap_or(hvac_audit::FlushPolicy::Always);
-    let audit = args
-        .flag("audit-log")
-        .map(|path| {
-            hvac_audit::AuditChain::create(
-                Path::new(path),
-                &policy_hash,
-                certificate
-                    .as_ref()
-                    .map_or("", |c| c.certificate_id.as_str()),
-                hvac_audit::ChainConfig {
-                    flush,
-                    ..hvac_audit::ChainConfig::default()
-                },
-            )
-            .map(|chain| hvac_audit::register_chain(Arc::new(chain)))
-            .map_err(|e| format!("cannot create audit chain {path}: {e}"))
-        })
-        .transpose()?;
-    if audit.is_some() {
-        // Panics must still leave a flushed, checkpointed chain behind.
-        hvac_audit::install_chain_flush_hook();
-    }
-
-    info!(
-        "serving policy {} ({} nodes, depth {})",
-        policy_path.display(),
-        policy.tree().node_count(),
-        policy.tree().depth()
-    );
-    let flight_capacity = args
-        .flag("flight-capacity")
-        .map(|n| {
-            n.parse::<usize>()
-                .map_err(|_| format!("--flight-capacity must be a record count, got {n:?}"))
-        })
-        .transpose()?
-        .unwrap_or(veri_hvac::OpsOptions::default().flight_capacity);
-    let options = veri_hvac::ServeOptions {
-        audit: audit.clone(),
-        certificate_id: certificate.as_ref().map(|c| c.certificate_id.clone()),
-        ops: veri_hvac::OpsOptions {
-            flight_capacity,
-            ..veri_hvac::OpsOptions::default()
-        },
-        ..veri_hvac::ServeOptions::default()
-    };
-    let server = veri_hvac::serve_with_options(policy, options, addr)
-        .map_err(|e| format!("cannot bind serve endpoint on {addr}: {e}"))?;
-    println!("serving on http://{}", server.addr());
-    println!("  POST /decide      {{\"zone_temperature\": 18.5, ...}} -> setpoint action");
-    println!("  GET  /version     build, policy hash, certificate id");
-    println!("  GET  /metrics     Prometheus text format 0.0.4");
-    println!("  GET  /healthz     liveness probe");
-    println!("  GET  /summary.json  registry summary with p50/p95/p99");
-    println!("  GET  /debug/slo   SLO objectives with fast/slow burn rates");
-    if flight_capacity > 0 {
-        println!("  GET  /debug/flight  last {flight_capacity} decisions (flight recorder)");
-    }
-    if let Some(chain) = &audit {
-        println!(
-            "audit chain: {} (sealed on graceful shutdown; verify with `veri-hvac audit`)",
-            args.flag("audit-log").unwrap_or("?")
-        );
-        let _ = chain; // chain lives in the server's shutdown hook too
-    }
-    hvac_telemetry::flush();
-    match args.flag("duration") {
         // Bounded session (smoke tests, CI): serve for N seconds, then
-        // shut down gracefully — hooks run, the chain seals, sinks
-        // flush.
+        // shut down gracefully — hooks run, chains seal, sinks flush.
         Some(secs) => {
             let secs: u64 = secs
                 .parse()
@@ -1291,8 +1226,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
             Ok(())
         }
         // Serve until the process is interrupted. A signal kill skips
-        // destructors: the chain stays durable per append but unsealed
-        // (audit it with --allow-unsealed).
+        // destructors: chains stay durable per append but unsealed, and
+        // the next start over the same audit dir recovers them.
         None => loop {
             std::thread::sleep(std::time::Duration::from_secs(3600));
         },

@@ -3,17 +3,16 @@
 //! The paper's deployment argument (Table 3) is that a verified tree
 //! policy is cheap enough to serve *everywhere*: a root-to-leaf
 //! descent costs ~100 ns, so a single controller process should
-//! comfortably decide for thousands of buildings. [`serve_fleet`]
-//! grows the single-policy endpoint of [`crate::serve`] into exactly
-//! that:
+//! comfortably decide for thousands of buildings. [`serve_fleet`] is
+//! the one serving endpoint — a single building is a one-tenant fleet
+//! (`veri-hvac serve --policy`) — and it provides:
 //!
 //! * a content-addressed [`PolicyRegistry`] — tenants referencing the
 //!   same tree (by `hvac-audit::policy_hash`) share one immutable
 //!   [`RegisteredPolicy`] entry instead of N copies;
 //! * per-tenant [`GuardedPolicy`] state behind **sharded locks** — one
 //!   mutex per building, so tenant A's decide never queues behind
-//!   tenant B's (the old serve path funnelled every request through a
-//!   single global mutex);
+//!   tenant B's;
 //! * per-tenant tamper-evident audit chains (`<audit_dir>/<id>.jsonl`,
 //!   each with its own genesis binding the tenant's policy hash and
 //!   certificate), all sealed on graceful shutdown — after the worker
@@ -32,18 +31,18 @@
 //! | `POST /decide` | same, tenant named by a `"tenant"` body field (optional for a single-tenant fleet) |
 //! | `POST /tick` | lockstep batch: `{"requests":[{"tenant":…,"observation":{…}},…]}` |
 //! | `GET /tenants` | fleet roster with per-tenant guard rung and decision counts |
-//! | `GET /version` | build info, tenant and distinct-policy counts |
+//! | `GET /version` | build info, tenant and distinct-policy counts; with exactly one distinct policy also its `policy_hash`, `certified` and `certificate_id` |
 //! | `GET /debug/flight`, `/debug/slo`, `/metrics`, `/summary.json`, `/healthz` | the ops plane of [`crate::serve`] |
 //!
-//! Per-tenant decisions are **bit-identical** to the single-policy
-//! path: `/decide/{tenant}` reuses [`decide_json_traced`] over the
-//! tenant's own guard, and the tick path's two-phase
+//! Per-tenant decisions are **bit-identical** to deciding in process:
+//! both `/decide` routes run [`crate::serve::decide_json_traced`]'s
+//! path over the tenant's own guard, and the tick path's two-phase
 //! [`GuardedPolicy::route`] / [`GuardedPolicy::commit`] split is
 //! bit-identical to `decide` by construction.
 
 use crate::serve::{
-    decide_json_traced, flight_json, mint_trace_id, observation_from_value, OpsOptions,
-    DECIDE_TIMEOUT, SERVE_WINDOW_EPOCHS, SERVE_WINDOW_NS,
+    decide_value_traced, flight_json, mint_trace_id, observation_from_value, parse_body,
+    OpsOptions, DECIDE_TIMEOUT, MAX_DECIDE_BODY_BYTES, SERVE_WINDOW_EPOCHS, SERVE_WINDOW_NS,
 };
 use hvac_audit::{AuditChain, ChainConfig, ChainRecord, FlushPolicy, Payload};
 use hvac_control::{
@@ -69,8 +68,9 @@ pub const MAX_TENANT_ID_BYTES: usize = 64;
 
 /// Largest accepted request body on a fleet endpoint. `POST /tick`
 /// carries one observation per tenant, so the cap is sized for a full
-/// fleet's batch rather than the single-observation cap of the
-/// single-policy path.
+/// fleet's batch rather than the single-observation
+/// [`MAX_DECIDE_BODY_BYTES`]. A fleet without a reload source caps
+/// lower still (see [`serve_fleet_with_reload`]).
 pub const MAX_FLEET_BODY_BYTES: usize = 256 * 1024;
 
 /// Most requests accepted in one `POST /tick` batch.
@@ -986,7 +986,16 @@ fn tag_tenant(body: &str, tenant: &str) -> String {
 }
 
 /// One `/decide` or `/decide/{tenant}` request against the fleet.
-fn handle_decide(fleet: &Fleet, tenant_id: &str, request: &Request, ctx: &OpsCtx) -> Response {
+/// `body` is the request body as the route parsed it, once; `started`
+/// is when that parse began, so the reported latency still covers it.
+fn handle_decide(
+    fleet: &Fleet,
+    tenant_id: &str,
+    request: &Request,
+    body: Result<JsonValue, String>,
+    started: Instant,
+    ctx: &OpsCtx,
+) -> Response {
     let trace_id = ctx.trace_id(request);
     let now_ns = process_elapsed_ns();
     let mut record = FlightRecord {
@@ -1014,12 +1023,15 @@ fn handle_decide(fleet: &Fleet, tenant_id: &str, request: &Request, ctx: &OpsCtx
                 record.http_status = 404;
                 Response::error(404, &format!("unknown tenant {tenant_id:?}"))
             }
-            Some(tenant) => match decide_json_traced(
-                &tenant.guard,
-                tenant.chain.as_deref(),
-                &request.body,
-                Some(&trace_id),
-            ) {
+            Some(tenant) => match body.and_then(|body| {
+                decide_value_traced(
+                    &tenant.guard,
+                    tenant.chain.as_deref(),
+                    &body,
+                    Some(&trace_id),
+                    started,
+                )
+            }) {
                 Ok(outcome) => {
                     if let Some(w) = ctx.window {
                         w.record_at(now_ns, outcome.total_ns);
@@ -1048,7 +1060,7 @@ fn handle_decide(fleet: &Fleet, tenant_id: &str, request: &Request, ctx: &OpsCtx
 
 /// Parses a `POST /tick` body into `(tenant, observation)` pairs.
 fn tick_requests_from_json(body: &str) -> Result<Vec<(String, Observation)>, String> {
-    let value = parse(body).map_err(|e| format!("invalid JSON body: {e}"))?;
+    let value = parse_body(body)?;
     let requests = value
         .get("requests")
         .and_then(JsonValue::as_array)
@@ -1154,7 +1166,20 @@ fn fleet_version_json(fleet: &Fleet) -> String {
     );
     o.bool_field("fleet", true);
     o.u64_field("tenants", fleet.len() as u64);
-    o.u64_field("policies", fleet.policy_count() as u64);
+    let registry = fleet
+        .registry
+        .lock()
+        .unwrap_or_else(PoisonError::into_inner);
+    o.u64_field("policies", registry.len() as u64);
+    // A fleet serving one tree (always so for `serve --policy`) also
+    // names it and the certificate it serves under.
+    if let (1, Some(only)) = (registry.len(), registry.entries.values().next()) {
+        o.str_field("policy_hash", only.hash());
+        o.bool_field("certified", only.certificate_id().is_some());
+        if let Some(id) = only.certificate_id() {
+            o.str_field("certificate_id", id);
+        }
+    }
     o.finish()
 }
 
@@ -1182,6 +1207,11 @@ pub fn serve_fleet(fleet: Fleet, addr: impl ToSocketAddrs) -> std::io::Result<Ht
 /// in-flight decision can land after its chain's seal record. When
 /// `reload` is supplied, `POST /admin/reload` re-reads the manifest
 /// through it and atomically swaps the roster ([`Fleet::reload`]).
+///
+/// Request bodies are capped at [`MAX_FLEET_BODY_BYTES`] when the
+/// roster can reload, and otherwise at one [`MAX_DECIDE_BODY_BYTES`]
+/// per tenant up to that cap — so a one-tenant fleet answers an
+/// oversized `/decide` with 413 from its headers alone.
 ///
 /// # Errors
 ///
@@ -1244,8 +1274,16 @@ pub fn serve_fleet_with_reload(
         }
     }
 
+    let max_body_bytes = if reload.is_some() {
+        MAX_FLEET_BODY_BYTES
+    } else {
+        fleet
+            .len()
+            .saturating_mul(MAX_DECIDE_BODY_BYTES)
+            .min(MAX_FLEET_BODY_BYTES)
+    };
     let mut builder = HttpServer::builder()
-        .max_body_bytes(MAX_FLEET_BODY_BYTES)
+        .max_body_bytes(max_body_bytes)
         .request_timeout(DECIDE_TIMEOUT);
     // Unless overridden, scale the pool so every tenant's keep-alive
     // connection can hold a parked worker (plus slack for ops
@@ -1270,8 +1308,12 @@ pub fn serve_fleet_with_reload(
 
     builder = builder
         // Tenant named in the body; a single-tenant fleet may omit it.
+        // The body is parsed once, here, and handed down.
         .route("POST", "/decide", move |req| {
-            let named = parse(&req.body)
+            let started = Instant::now();
+            let body = parse_body(&req.body);
+            let named = body
+                .as_ref()
                 .ok()
                 .and_then(|v| v.get("tenant").map(|t| t.as_str().map(str::to_string)));
             let tenant_id = match named {
@@ -1289,12 +1331,14 @@ pub fn serve_fleet_with_reload(
                     );
                 }
             };
-            handle_decide(&decide_fleet, &tenant_id, req, &decide_ctx)
+            handle_decide(&decide_fleet, &tenant_id, req, body, started, &decide_ctx)
         })
         // Tenant named in the path.
         .route_prefix("POST", "/decide/", move |req| {
+            let started = Instant::now();
             let tenant_id = req.path.strip_prefix("/decide/").unwrap_or("");
-            handle_decide(&path_fleet, tenant_id, req, &path_ctx)
+            let body = parse_body(&req.body);
+            handle_decide(&path_fleet, tenant_id, req, body, started, &path_ctx)
         })
         .route("POST", "/tick", move |req| {
             let started = Instant::now();

@@ -50,8 +50,8 @@
 //! | [`mod@audit`] | tamper-evident decision chains + offline verifier |
 //! | [`faults`] | deterministic sensor/weather fault injection |
 //! | [`stats`] | histograms, entropy, JSD, summaries |
-//! | [`serve`] | HTTP serving of verified policies (`POST /decide`) |
-//! | [`fleet`] | multi-tenant fleet controller (registry, sharded guards, lockstep `/tick`) |
+//! | [`serve`] | the per-request decide path (observation decoding, guarded decide, audit append) |
+//! | [`fleet`] | the HTTP endpoint: a fleet of one or many buildings (registry, sharded guards, lockstep `/tick`) |
 //! | [`artifacts`] | content-addressed pipeline artifact store |
 
 #![forbid(unsafe_code)]
@@ -82,7 +82,4 @@ pub use fleet::{
 pub use pipeline::{
     run_pipeline, run_pipeline_cached, PipelineArtifacts, PipelineConfig, PipelineError,
 };
-pub use serve::{
-    decide_json_traced, serve_guarded_policy, serve_policy, serve_with_options, DecideOutcome,
-    OpsOptions, ServeOptions,
-};
+pub use serve::{decide_json_traced, DecideOutcome, OpsOptions};

@@ -1,19 +1,18 @@
-//! Online decision serving — the first traffic-serving path of the
-//! reproduction.
+//! The decision path every serve request runs, and the ops-plane
+//! pieces it feeds.
 //!
 //! The paper's argument (Table 3) is that a verified decision tree is
 //! cheap enough to serve live traffic: one root-to-leaf descent per
-//! request. This module puts that claim on the wire: [`serve_policy`]
-//! wraps a [`DtPolicy`] in the zero-dependency HTTP server of
-//! `hvac-telemetry` and answers
+//! request. The HTTP endpoint lives in [`crate::fleet`] — a single
+//! building is served as a one-tenant fleet (`veri-hvac serve --policy`)
+//! — and this module holds what each `/decide` request does inside it:
 //!
-//! * `POST /decide` — body is a flat JSON observation (see
-//!   [`observation_from_json`]); the response carries the chosen
-//!   setpoints, the action index, and the in-handler latency;
-//! * `GET /metrics`, `/healthz`, `/summary.json` — the standard
-//!   observability routes, including the per-request
-//!   `serve.decide.ns` latency histogram and `serve.decisions`
-//!   counter this module records.
+//! * observation decoding ([`observation_from_json`],
+//!   [`observation_from_value`]) with aggregated per-field errors;
+//! * [`decide_json_traced`]: the guarded decide, the audit-chain
+//!   append, and the response rendering, returning a
+//!   [`DecideOutcome`] with per-stage latencies. It records the
+//!   `serve.decide.ns` histogram and the `serve.decisions` counter.
 //!
 //! The served policy is wrapped in a
 //! [`GuardedPolicy`](hvac_control::GuardedPolicy): invalid readings
@@ -23,36 +22,25 @@
 //! bit-identical to the bare policy, so a served decision still
 //! matches calling [`Policy::decide`] in process on the same state.
 //!
-//! The endpoint itself is hardened: request bodies beyond
-//! [`MAX_DECIDE_BODY_BYTES`] are answered `413`, clients that stall
-//! longer than [`DECIDE_TIMEOUT`] get `408`, parse failures are a
-//! structured `422` JSON (`{"error": …, "status": …}`), and no
-//! handler panic can reach the socket.
-//!
-//! On top of the decision path sits the **live ops plane**
-//! ([`OpsOptions`]): every request carries a trace id (the client's
-//! validated `X-Request-Id`, or a minted deterministic one) that is
-//! echoed in the response header and body, stamped into the audit
-//! chain's decision record, threaded through the guard's telemetry,
-//! and captured — together with per-stage latencies, guard rung,
-//! action, and HTTP status — in a lock-free flight recorder behind
-//! `GET /debug/flight`. Decide latencies also feed a sliding-window
-//! histogram (windowed p50/p95/p99 in `/metrics` and `/summary.json`)
-//! and an SLO tracker with fast/slow burn rates behind
+//! The **live ops plane** ([`OpsOptions`]) rides on every request: a
+//! trace id (the client's validated `X-Request-Id`, or one from
+//! [`mint_trace_id`]) is echoed in the response header and body,
+//! stamped into the audit chain's decision record, threaded through
+//! the guard's telemetry, and captured — together with per-stage
+//! latencies, guard rung, action, and HTTP status — in a lock-free
+//! flight recorder behind `GET /debug/flight`. Decide latencies also
+//! feed a sliding-window histogram and an SLO tracker behind
 //! `GET /debug/slo`.
 
 use hvac_audit::AuditChain;
-use hvac_control::{DtPolicy, GuardConfig, GuardedPolicy};
+use hvac_control::{DtPolicy, GuardedPolicy};
 use hvac_env::space::feature;
-use hvac_env::{ComfortRange, Observation, Policy, POLICY_INPUT_DIM};
-use hvac_telemetry::http::{HttpServer, Response, REQUEST_ID_HEADER};
+use hvac_env::{Observation, Policy, POLICY_INPUT_DIM};
 use hvac_telemetry::json::{parse, JsonValue, ObjectWriter};
-use hvac_telemetry::ring::{FlightRecord, FlightRecorder};
-use hvac_telemetry::slo::{SloConfig, SloTracker};
-use hvac_telemetry::{process_elapsed_ns, warn, windowed_histogram, LATENCY_BOUNDS_NS};
-use std::net::ToSocketAddrs;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
+use hvac_telemetry::ring::FlightRecorder;
+use hvac_telemetry::slo::SloConfig;
+use hvac_telemetry::{warn, LATENCY_BOUNDS_NS};
+use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Largest accepted `POST /decide` body. A flat 7-field observation
@@ -77,8 +65,13 @@ pub const DECIDE_TIMEOUT: Duration = Duration::from_secs(5);
 /// missing field (semicolon-separated), so a client fixing a bad body
 /// sees all its problems at once instead of one per round trip.
 pub fn observation_from_json(text: &str) -> Result<Observation, String> {
-    let value = parse(text).map_err(|e| format!("invalid JSON body: {e}"))?;
-    observation_from_value(&value)
+    observation_from_value(&parse_body(text)?)
+}
+
+/// Parses a request body, naming the failure the way every serve
+/// route reports it.
+pub(crate) fn parse_body(text: &str) -> Result<JsonValue, String> {
+    parse(text).map_err(|e| format!("invalid JSON body: {e}"))
 }
 
 /// [`observation_from_json`] over an already-parsed [`JsonValue`] — the
@@ -129,42 +122,6 @@ pub fn observation_from_value(value: &JsonValue) -> Result<Observation, String> 
     }
 }
 
-/// Decides on `body` with the guarded `policy` and renders the
-/// response JSON (setpoints, action index, `guard_state`, latency).
-///
-/// A poisoned mutex is recovered rather than propagated: the guard and
-/// tree hold no invariants a panicking thread could have broken
-/// half-way (both update plain counters), and a serving endpoint must
-/// not turn one contained panic into a permanent 5xx.
-///
-/// # Errors
-///
-/// Propagates [`observation_from_json`] errors.
-pub fn decide_json(policy: &Mutex<GuardedPolicy<DtPolicy>>, body: &str) -> Result<String, String> {
-    decide_json_audited(policy, None, body)
-}
-
-/// [`decide_json`] with an optional tamper-evident decision chain:
-/// when `audit` is given, the guard's ladder transitions and the
-/// decision itself (observation, setpoints, action index, guard rung)
-/// are appended to the chain before the response is rendered.
-///
-/// A failed chain append never fails the request — the decision was
-/// already taken and the actuator side must not stall on audit I/O —
-/// but it is counted (`serve.audit.errors`) and logged, so a full
-/// chain that stopped recording is loudly visible.
-///
-/// # Errors
-///
-/// Propagates [`observation_from_json`] errors.
-pub fn decide_json_audited(
-    policy: &Mutex<GuardedPolicy<DtPolicy>>,
-    audit: Option<&AuditChain>,
-    body: &str,
-) -> Result<String, String> {
-    decide_json_traced(policy, audit, body, None).map(|outcome| outcome.body)
-}
-
 /// Everything one `/decide` request produced, for the ops plane: the
 /// response body plus the per-stage breakdown the flight recorder and
 /// SLO tracker consume.
@@ -189,11 +146,23 @@ pub struct DecideOutcome {
     pub cooling: u64,
 }
 
-/// [`decide_json_audited`] with the request's trace id threaded all
-/// the way down: into the guard's decide (trace-level telemetry), the
-/// audit chain's decision record (format v2), and the response body's
-/// `trace_id` field. Returns the full [`DecideOutcome`] so the caller
-/// can feed the flight recorder and SLO tracker.
+/// Decides on `body` with the guarded `policy` and renders the
+/// response JSON (setpoints, action index, `action`, `guard_state`,
+/// latency, and `trace_id` when given).
+///
+/// The trace id is threaded all the way down: into the guard's decide
+/// (trace-level telemetry), the audit chain's decision record (format
+/// v2), and the response body. When `audit` is given, the guard's
+/// ladder transitions and then the decision itself are appended to the
+/// chain before the response is rendered. A failed chain append never
+/// fails the request — the decision was already taken and the actuator
+/// side must not stall on audit I/O — but it is counted
+/// (`serve.audit.errors`) and logged.
+///
+/// A poisoned mutex is recovered rather than propagated: the guard and
+/// tree hold no invariants a panicking thread could have broken
+/// half-way (both update plain counters), and a serving endpoint must
+/// not turn one contained panic into a permanent 5xx.
 ///
 /// # Errors
 ///
@@ -205,7 +174,21 @@ pub fn decide_json_traced(
     trace_id: Option<&str>,
 ) -> Result<DecideOutcome, String> {
     let started = Instant::now();
-    let observation = observation_from_json(body)?;
+    decide_value_traced(policy, audit, &parse_body(body)?, trace_id, started)
+}
+
+/// [`decide_json_traced`] over a body the caller has already parsed
+/// (the fleet's `POST /decide` reads the `tenant` field from the same
+/// parse). `started` is when that parse began, so `parse_ns` and the
+/// reported latency still cover it.
+pub(crate) fn decide_value_traced(
+    policy: &Mutex<GuardedPolicy<DtPolicy>>,
+    audit: Option<&AuditChain>,
+    body: &JsonValue,
+    trace_id: Option<&str>,
+    started: Instant,
+) -> Result<DecideOutcome, String> {
+    let observation = observation_from_value(body)?;
     let parse_ns = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
 
     let decide_started = Instant::now();
@@ -306,40 +289,13 @@ impl Default for OpsOptions {
 pub(crate) const SERVE_WINDOW_NS: u64 = 60 * 1_000_000_000;
 pub(crate) const SERVE_WINDOW_EPOCHS: usize = 12;
 
-/// Serving configuration beyond the policy itself: the guard's
-/// fallback comfort band, an optional tamper-evident audit chain, the
-/// id of the verification certificate the policy was served under
-/// (stamped into `GET /version`), and the ops plane.
-#[derive(Debug, Clone)]
-pub struct ServeOptions {
-    /// Fallback comfort band for the degradation guard.
-    pub comfort: ComfortRange,
-    /// When set, every decision and guard transition is appended to
-    /// this chain, and graceful shutdown seals it.
-    pub audit: Option<Arc<AuditChain>>,
-    /// Certificate id reported by `GET /version` (`None` serves
-    /// uncertified).
-    pub certificate_id: Option<String>,
-    /// Flight recorder / windowed histogram / SLO tracker knobs.
-    pub ops: OpsOptions,
-}
-
-impl Default for ServeOptions {
-    fn default() -> Self {
-        Self {
-            comfort: ComfortRange::winter(),
-            audit: None,
-            certificate_id: None,
-            ops: OpsOptions::default(),
-        }
-    }
-}
-
 /// Mints a deterministic trace id for a request that arrived without
-/// one: FNV-1a over the served policy's hash and a process-local
-/// sequence number — stable across identical replays, unique within a
-/// serve session, and trivially valid per the `X-Request-Id` contract.
-pub(crate) fn mint_trace_id(seed: &str, sequence: u64) -> String {
+/// one: FNV-1a over `seed` (the fleet's registered policy hashes,
+/// comma-joined — the policy hash itself for a one-tenant fleet) and a
+/// process-local sequence number — stable across identical replays,
+/// unique within a serve session, and trivially valid per the
+/// `X-Request-Id` contract.
+pub fn mint_trace_id(seed: &str, sequence: u64) -> String {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
     for b in seed.bytes().chain(sequence.to_le_bytes()) {
         h ^= b as u64;
@@ -389,190 +345,15 @@ pub(crate) fn flight_json(recorder: &FlightRecorder) -> String {
     out
 }
 
-/// Renders the `GET /version` body: crate version, build info (the
-/// `VERI_HVAC_BUILD_INFO` compile-time env var when CI stamps one,
-/// a `-src` marker otherwise), the served policy's content hash, and
-/// the certificate id when the policy is certified.
-fn version_json(policy_hash: &str, certificate_id: Option<&str>) -> String {
-    let mut o = ObjectWriter::new();
-    o.str_field("crate_version", env!("CARGO_PKG_VERSION"));
-    o.str_field(
-        "build",
-        option_env!("VERI_HVAC_BUILD_INFO").unwrap_or(concat!(
-            "v",
-            env!("CARGO_PKG_VERSION"),
-            "-src"
-        )),
-    );
-    o.str_field("policy_hash", policy_hash);
-    o.bool_field("certified", certificate_id.is_some());
-    if let Some(id) = certificate_id {
-        o.str_field("certificate_id", id);
-    }
-    o.finish()
-}
-
-/// Binds the serving endpoint: `POST /decide` over `policy` (wrapped
-/// in a [`GuardedPolicy`] with the serve-safe [`GuardConfig::new`]
-/// preset and the options' comfort band as fallback), `GET /version`,
-/// and the built-in observability routes. With an audit chain in
-/// `options`, every decision is appended to the chain and a graceful
-/// shutdown (explicit or drop) seals it, so the chain file ends on a
-/// complete, verifiable seal record. Returns the running server;
-/// `server.addr()` has the bound port.
-///
-/// # Errors
-///
-/// Propagates socket binding errors.
-pub fn serve_with_options(
-    policy: DtPolicy,
-    options: ServeOptions,
-    addr: impl ToSocketAddrs,
-) -> std::io::Result<HttpServer> {
-    let policy_hash = hvac_audit::policy_hash(&policy);
-    let ServeOptions {
-        comfort,
-        audit,
-        certificate_id,
-        ops,
-    } = options;
-    let shared = Mutex::new(GuardedPolicy::new(policy, GuardConfig::new(comfort)));
-    let decide_chain = audit.clone();
-
-    // Ops plane: flight recorder (0 capacity disables), windowed
-    // latency series, SLO tracker. All lock-free / atomic on the
-    // record path, so the decide handler never queues behind a scrape.
-    let flight =
-        (ops.flight_capacity > 0).then(|| Arc::new(FlightRecorder::new(ops.flight_capacity)));
-    let decide_flight = flight.clone();
-    let window = ops.windowed.then(|| {
-        windowed_histogram(
-            "serve.decide.ns",
-            LATENCY_BOUNDS_NS,
-            SERVE_WINDOW_NS,
-            SERVE_WINDOW_EPOCHS,
-        )
-    });
-    let slo = Arc::new(SloTracker::new(ops.slo));
-    let decide_slo = Arc::clone(&slo);
-    let mint_seed = policy_hash.clone();
-    let mint_sequence = AtomicU64::new(0);
-
-    let mut builder = HttpServer::builder()
-        .max_body_bytes(MAX_DECIDE_BODY_BYTES)
-        .request_timeout(DECIDE_TIMEOUT)
-        .route("POST", "/decide", move |req| {
-            // The HTTP layer has already 422'd malformed client ids,
-            // so whatever arrives here is safe to embed downstream.
-            let trace_id = match req.request_id() {
-                Some(id) => id.to_string(),
-                None => mint_trace_id(&mint_seed, mint_sequence.fetch_add(1, Ordering::Relaxed)),
-            };
-            let now_ns = process_elapsed_ns();
-            let (response, record) = match decide_json_traced(
-                &shared,
-                decide_chain.as_deref(),
-                &req.body,
-                Some(&trace_id),
-            ) {
-                Ok(outcome) => {
-                    if let Some(w) = window {
-                        w.record_at(now_ns, outcome.total_ns);
-                    }
-                    decide_slo.record_decide_at(now_ns, outcome.total_ns);
-                    decide_slo.record_guard_at(now_ns, outcome.guard_gauge);
-                    let record = FlightRecord {
-                        trace_id: trace_id.clone(),
-                        t_ns: now_ns,
-                        parse_ns: outcome.parse_ns,
-                        decide_ns: outcome.decide_ns,
-                        audit_ns: outcome.audit_ns,
-                        guard_state: outcome.guard_gauge,
-                        heating_centi: outcome.heating * 100,
-                        cooling_centi: outcome.cooling * 100,
-                        http_status: 200,
-                    };
-                    (Response::json(200, outcome.body), record)
-                }
-                Err(message) => {
-                    let record = FlightRecord {
-                        trace_id: trace_id.clone(),
-                        t_ns: now_ns,
-                        parse_ns: 0,
-                        decide_ns: 0,
-                        audit_ns: 0,
-                        guard_state: 0,
-                        heating_centi: 0,
-                        cooling_centi: 0,
-                        http_status: 422,
-                    };
-                    (Response::error(422, &message), record)
-                }
-            };
-            decide_slo.record_response_at(now_ns, response.status);
-            if let Some(ring) = &decide_flight {
-                ring.push(&record);
-            }
-            response.with_header(REQUEST_ID_HEADER, trace_id)
-        })
-        .route("GET", "/version", move |_req| {
-            Response::json(200, version_json(&policy_hash, certificate_id.as_deref()))
-        })
-        .route("GET", "/debug/slo", move |_req| {
-            Response::json(200, slo.render_json_at(process_elapsed_ns()))
-        });
-    if let Some(ring) = flight {
-        builder = builder.route("GET", "/debug/flight", move |_req| {
-            Response::json(200, flight_json(&ring))
-        });
-    }
-    if let Some(chain) = audit {
-        builder = builder.on_shutdown(move || {
-            if let Err(e) = chain.seal() {
-                warn!("audit chain seal failed on shutdown: {e}");
-            }
-        });
-    }
-    builder.bind(addr)
-}
-
-/// Binds the serving endpoint with only a custom comfort band — no
-/// audit chain, no certificate (see [`serve_with_options`]).
-///
-/// # Errors
-///
-/// Propagates socket binding errors.
-pub fn serve_guarded_policy(
-    policy: DtPolicy,
-    comfort: ComfortRange,
-    addr: impl ToSocketAddrs,
-) -> std::io::Result<HttpServer> {
-    serve_with_options(
-        policy,
-        ServeOptions {
-            comfort,
-            ..ServeOptions::default()
-        },
-        addr,
-    )
-}
-
-/// [`serve_guarded_policy`] with the paper's winter comfort band as
-/// the fallback — the evaluation setting (January, Pittsburgh).
-///
-/// # Errors
-///
-/// Propagates socket binding errors.
-pub fn serve_policy(policy: DtPolicy, addr: impl ToSocketAddrs) -> std::io::Result<HttpServer> {
-    serve_guarded_policy(policy, ComfortRange::winter(), addr)
-}
-
 #[cfg(test)]
 mod tests {
+    //! The HTTP tests drive `serve --policy`'s one-tenant fleet.
+
     use super::*;
+    use crate::fleet::{serve_fleet, Fleet, FleetOptions};
     use hvac_dtree::{DecisionTree, TreeConfig};
     use hvac_env::{ActionSpace, Disturbances, SetpointAction};
-    use hvac_telemetry::http::blocking_request;
+    use hvac_telemetry::http::{blocking_request, HttpServer, REQUEST_ID_HEADER};
 
     /// Cold zones → heat hard, warm zones → off (same toy tree as the
     /// dt_policy unit tests).
@@ -592,6 +373,22 @@ mod tests {
         let tree =
             DecisionTree::fit(&inputs, &labels, space.len(), &TreeConfig::default()).unwrap();
         DtPolicy::new(tree).unwrap()
+    }
+
+    /// Serves `policy` as a one-tenant fleet, the way
+    /// `veri-hvac serve --policy` does.
+    fn serve_one(
+        policy: DtPolicy,
+        certificate_id: Option<String>,
+        options: FleetOptions,
+    ) -> HttpServer {
+        let fleet = Fleet::new(options);
+        fleet.add_tenant("default", policy, certificate_id).unwrap();
+        serve_fleet(fleet, "127.0.0.1:0").expect("bind")
+    }
+
+    fn serve_default(policy: DtPolicy) -> HttpServer {
+        serve_one(policy, None, FleetOptions::default())
     }
 
     #[test]
@@ -669,7 +466,7 @@ mod tests {
     #[test]
     fn served_decision_matches_in_process_policy() {
         let mut reference = toy_policy();
-        let server = serve_policy(toy_policy(), "127.0.0.1:0").expect("bind");
+        let server = serve_default(toy_policy());
         for temp in [15.0, 18.3, 21.0, 23.5] {
             let obs = Observation::new(temp, Disturbances::default());
             let expected = reference.decide(&obs);
@@ -709,7 +506,7 @@ mod tests {
 
     #[test]
     fn out_of_range_readings_degrade_instead_of_reaching_the_tree() {
-        let server = serve_policy(toy_policy(), "127.0.0.1:0").expect("bind");
+        let server = serve_default(toy_policy());
         // 300 °C parses fine but fails range validation; with no last
         // good value to hold, the guard drops straight to the
         // rule-based fallback.
@@ -753,7 +550,7 @@ mod tests {
     #[test]
     fn version_endpoint_reports_build_policy_and_certificate() {
         // Uncertified: certified=false, no certificate_id key.
-        let server = serve_policy(toy_policy(), "127.0.0.1:0").expect("bind");
+        let server = serve_default(toy_policy());
         let (status, text) = blocking_request(server.addr(), "GET", "/version", "").unwrap();
         assert_eq!(status, 200, "{text}");
         let v = parse(&text).unwrap();
@@ -774,11 +571,11 @@ mod tests {
         server.shutdown();
 
         // Certified: the id round-trips verbatim.
-        let options = ServeOptions {
-            certificate_id: Some("deadbeef".repeat(8)),
-            ..ServeOptions::default()
-        };
-        let server = serve_with_options(toy_policy(), options, "127.0.0.1:0").expect("bind");
+        let server = serve_one(
+            toy_policy(),
+            Some("deadbeef".repeat(8)),
+            FleetOptions::default(),
+        );
         let (_, text) = blocking_request(server.addr(), "GET", "/version", "").unwrap();
         let v = parse(&text).unwrap();
         assert_eq!(v.get("certified").and_then(JsonValue::as_bool), Some(true));
@@ -791,30 +588,20 @@ mod tests {
 
     #[test]
     fn audited_serve_session_seals_a_verifiable_chain_on_shutdown() {
-        use hvac_audit::{AuditChain, Auditor, ChainConfig, FlushPolicy};
+        use hvac_audit::Auditor;
 
-        let dir = std::env::temp_dir().join("hvac-serve-audit-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("chain.jsonl");
+        // A fresh directory: a chain left by an earlier run would be
+        // resumed, not replaced.
+        let dir =
+            std::env::temp_dir().join(format!("hvac-serve-audit-test-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let path = dir.join("default.jsonl");
         let policy = toy_policy();
-        let policy_hash = hvac_audit::policy_hash(&policy);
-        let chain = std::sync::Arc::new(
-            AuditChain::create(
-                &path,
-                &policy_hash,
-                "",
-                ChainConfig {
-                    checkpoint_every: 8,
-                    flush: FlushPolicy::Always,
-                },
-            )
-            .unwrap(),
-        );
-        let options = ServeOptions {
-            audit: Some(std::sync::Arc::clone(&chain)),
-            ..ServeOptions::default()
+        let options = FleetOptions {
+            audit_dir: Some(dir.clone()),
+            ..FleetOptions::default()
         };
-        let server = serve_with_options(policy.clone(), options, "127.0.0.1:0").expect("bind");
+        let server = serve_one(policy.clone(), None, options);
         for i in 0..30 {
             let temp = 14.0 + f64::from(i) * 0.3;
             let body = format!(r#"{{"zone_temperature":{temp}}}"#);
@@ -847,6 +634,7 @@ mod tests {
         assert_eq!(report.decisions, 31);
         assert!(report.transitions >= 1, "{report}");
         assert!(report.sealed);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -864,7 +652,7 @@ mod tests {
     fn decide_without_client_id_mints_one_and_flight_records_it() {
         use hvac_telemetry::http::{blocking_request_with_headers, header_value};
 
-        let server = serve_policy(toy_policy(), "127.0.0.1:0").expect("bind");
+        let server = serve_default(toy_policy());
         let (status, headers, text) = blocking_request_with_headers(
             server.addr(),
             "POST",
@@ -899,7 +687,7 @@ mod tests {
     fn client_trace_id_reaches_flight_window_and_slo() {
         use hvac_telemetry::http::{blocking_request_with_headers, header_value};
 
-        let server = serve_policy(toy_policy(), "127.0.0.1:0").expect("bind");
+        let server = serve_default(toy_policy());
         let id = "req-ops-plane-0042";
         let (status, headers, text) = blocking_request_with_headers(
             server.addr(),
@@ -963,14 +751,14 @@ mod tests {
 
     #[test]
     fn disabled_flight_recorder_answers_404() {
-        let options = ServeOptions {
+        let options = FleetOptions {
             ops: OpsOptions {
                 flight_capacity: 0,
                 ..OpsOptions::default()
             },
-            ..ServeOptions::default()
+            ..FleetOptions::default()
         };
-        let server = serve_with_options(toy_policy(), options, "127.0.0.1:0").expect("bind");
+        let server = serve_one(toy_policy(), None, options);
         let (status, _) = blocking_request(server.addr(), "GET", "/debug/flight", "").unwrap();
         assert_eq!(status, 404);
         // The SLO endpoint stays up regardless.
@@ -981,7 +769,7 @@ mod tests {
 
     #[test]
     fn rejected_decides_are_flight_recorded_with_422() {
-        let server = serve_policy(toy_policy(), "127.0.0.1:0").expect("bind");
+        let server = serve_default(toy_policy());
         let (status, _) = blocking_request(server.addr(), "POST", "/decide", "{broken").unwrap();
         assert_eq!(status, 422);
         let (_, flight) = blocking_request(server.addr(), "GET", "/debug/flight", "").unwrap();
@@ -996,7 +784,7 @@ mod tests {
     #[test]
     fn oversized_decide_bodies_are_rejected() {
         use std::io::{Read, Write};
-        let server = serve_policy(toy_policy(), "127.0.0.1:0").expect("bind");
+        let server = serve_default(toy_policy());
         // Declare a body beyond the cap; the server answers 413 from
         // the headers alone, without waiting for (or reading) it.
         let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();

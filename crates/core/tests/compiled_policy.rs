@@ -32,14 +32,9 @@ fn pipeline_fitted_policy_passes_the_full_box_grid_sweep() {
     // The proof is re-checkable from the artifact text alone — the
     // round-tripped kernel is the same function.
     let artifact = policy.compiled_artifact().unwrap();
-    let restored = veri_hvac::dtree::CompiledTree::from_compact_string(
-        &artifact,
-        veri_hvac::dtree::CompileOptions { quantized: true },
-    )
-    .unwrap();
+    let restored = veri_hvac::dtree::CompiledTree::from_compact_string(&artifact).unwrap();
     let reproof = prove_equivalence(policy.tree(), &restored).unwrap();
     assert_eq!(reproof.probes, proof.probes);
-    assert!(reproof.quantized, "quantized kernel swept too");
 
     // And the served decisions agree with the enum walk across a dense
     // observation sweep (belt to the proof's suspenders).

@@ -462,6 +462,60 @@ fn fleet_bodies_beyond_the_single_decide_cap_are_accepted_on_tick() {
 }
 
 #[test]
+fn body_cap_follows_the_roster_size_unless_it_can_reload() {
+    use std::io::{Read, Write};
+    use veri_hvac::fleet::{serve_fleet_with_reload, TenantSpec, MAX_FLEET_BODY_BYTES};
+
+    // One tick request padded past the single-decide cap.
+    let mut body = String::from(
+        r#"{"requests":[{"tenant":"solo","observation":{"zone_temperature":18.0}}],"padding":""#,
+    );
+    body.push_str(&"x".repeat(MAX_DECIDE_BODY_BYTES));
+    body.push_str("\"}");
+    assert!(body.len() > MAX_DECIDE_BODY_BYTES);
+
+    // A fixed one-tenant roster keeps the single-decide cap: 413 from
+    // the headers alone, before any of the body is read.
+    let fixed = Fleet::new(FleetOptions::default());
+    fixed.add_tenant("solo", toy_policy(20.0), None).unwrap();
+    let server = serve_fleet(fixed, "127.0.0.1:0").expect("bind");
+    let mut stream = std::net::TcpStream::connect(server.addr()).unwrap();
+    stream
+        .write_all(
+            format!(
+                "POST /tick HTTP/1.1\r\nContent-Length: {}\r\n\r\n",
+                body.len()
+            )
+            .as_bytes(),
+        )
+        .unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 413"), "{response}");
+    server.shutdown();
+
+    // ...while a reloadable one can grow, so it keeps the fleet cap.
+    let reloadable = Fleet::new(FleetOptions::default());
+    reloadable
+        .add_tenant("solo", toy_policy(20.0), None)
+        .unwrap();
+    let source: Arc<veri_hvac::fleet::ReloadSource> = Arc::new(|| {
+        Ok(vec![TenantSpec {
+            id: "solo".to_string(),
+            policy: toy_policy(20.0),
+            certificate_id: None,
+        }])
+    });
+    let server = serve_fleet_with_reload(reloadable, "127.0.0.1:0", Some(source)).expect("bind");
+    let (status, text) = blocking_request(server.addr(), "POST", "/tick", &body).unwrap();
+    assert_eq!(status, 200, "{text}");
+    let v = parse(&text).unwrap();
+    assert_eq!(v.get("count").and_then(JsonValue::as_u64), Some(1));
+    assert!(body.len() < MAX_FLEET_BODY_BYTES);
+    server.shutdown();
+}
+
+#[test]
 fn killed_fleet_restarts_bit_identically_with_one_recovery_record() {
     use veri_hvac::fleet::FleetOptions as FO;
     let dir = fresh_dir("restart");

@@ -3,7 +3,7 @@
 //!
 //! Ten thousand mutated JSON bodies per seed go through
 //! [`veri_hvac::serve::observation_from_json`] and
-//! [`veri_hvac::serve::decide_json`]; ten thousand hostile observations
+//! [`veri_hvac::serve::decide_json_traced`]; ten thousand hostile observations
 //! (NaN, ±∞, subnormals, absurd magnitudes) go through
 //! [`DtPolicy::decide`] raw and wrapped in a [`GuardedPolicy`]. The
 //! contract under attack is the same everywhere: **no panic**, and
@@ -21,7 +21,7 @@ use veri_hvac::env::{
     ActionSpace, ComfortRange, Disturbances, Observation, Policy, SetpointAction, COOLING_RANGE,
     HEATING_RANGE, POLICY_INPUT_DIM,
 };
-use veri_hvac::serve::{decide_json, observation_from_json};
+use veri_hvac::serve::{decide_json_traced, observation_from_json};
 
 const BODIES_PER_SEED: usize = 10_000;
 const SEEDS: [u64; 3] = [0x5EED_0001, 0x5EED_0002, 0x5EED_0003];
@@ -210,7 +210,7 @@ fn mutated_decide_bodies_yield_a_decision_or_a_structured_error() {
         for i in 0..BODIES_PER_SEED {
             let base = valid_body(&mut rng);
             let body = mutate_body(&mut rng, &base);
-            match decide_json(&policy, &body) {
+            match decide_json_traced(&policy, None, &body, None).map(|outcome| outcome.body) {
                 Ok(response) => {
                     for key in ["heating_setpoint", "cooling_setpoint", "guard_state"] {
                         assert!(
@@ -269,7 +269,7 @@ fn hostile_observations_never_panic_raw_or_guarded_policies() {
 /// **no loop**, every outcome a parsed tree or a structured error.
 #[test]
 fn malformed_tree_corpus_is_rejected_not_served() {
-    use veri_hvac::dtree::{CompileOptions, CompiledTree};
+    use veri_hvac::dtree::CompiledTree;
 
     let dtree_corpus: &[(&str, &str)] = &[
         (
@@ -319,7 +319,7 @@ fn malformed_tree_corpus_is_rejected_not_served() {
         ("truncated mid-line", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 1\nleaves 2\nN 0 20.0\n"),
     ];
     for (what, text) in ctree_corpus {
-        let err = CompiledTree::from_compact_string(text, CompileOptions { quantized: true })
+        let err = CompiledTree::from_compact_string(text)
             .expect_err(&format!("corpus entry must be rejected: {what}"));
         assert!(!err.to_string().is_empty(), "{what}: empty error message");
     }

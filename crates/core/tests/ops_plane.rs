@@ -1,20 +1,20 @@
 //! End-to-end traceability of a client request id through the live
 //! ops plane: `X-Request-Id` on the request must come back on the
 //! response, show up in the flight recorder and the windowed latency
-//! series, and land — hash-covered — in the sealed audit chain.
+//! series, and land — hash-covered — in the sealed audit chain. The
+//! server is a one-tenant fleet, as `veri-hvac serve --policy` runs it.
 
-use hvac_audit::{AuditChain, Auditor, ChainConfig, FlushPolicy};
+use hvac_audit::{Auditor, FlushPolicy};
 use hvac_control::DtPolicy;
 use hvac_dtree::{DecisionTree, TreeConfig};
 use hvac_env::space::feature;
 use hvac_env::{ActionSpace, SetpointAction, POLICY_INPUT_DIM};
 use hvac_telemetry::http::{
-    blocking_request, blocking_request_with_headers, header_value, REQUEST_ID_HEADER,
+    blocking_request, blocking_request_with_headers, header_value, HttpServer, REQUEST_ID_HEADER,
 };
 use hvac_telemetry::json::{parse, JsonValue};
 use std::path::PathBuf;
-use std::sync::Arc;
-use veri_hvac::{serve_with_options, OpsOptions, ServeOptions};
+use veri_hvac::{serve_fleet, Fleet, FleetOptions, OpsOptions};
 
 /// Cold zones → heat hard, warm zones → off (the serve tests' toy
 /// tree).
@@ -41,33 +41,30 @@ fn temp_path(name: &str) -> PathBuf {
     path
 }
 
+/// Serves `policy` as a one-tenant fleet.
+fn serve_one(policy: DtPolicy, options: FleetOptions) -> HttpServer {
+    let fleet = Fleet::new(options);
+    fleet.add_tenant("e2e", policy, None).expect("tenant");
+    serve_fleet(fleet, "127.0.0.1:0").expect("bind")
+}
+
 #[test]
 fn client_request_id_is_traceable_end_to_end() {
     let policy = toy_policy();
-    let policy_hash = hvac_audit::policy_hash(&policy);
-    let chain_path = temp_path("e2e.jsonl");
-    let chain = Arc::new(
-        AuditChain::create(
-            &chain_path,
-            &policy_hash,
-            "",
-            ChainConfig {
-                checkpoint_every: 16,
-                flush: FlushPolicy::Always,
-            },
-        )
-        .expect("audit chain"),
-    );
+    let audit_dir = temp_path("audit");
+    let _ = std::fs::remove_dir_all(&audit_dir);
+    let chain_path = audit_dir.join("e2e.jsonl");
 
-    let options = ServeOptions {
-        audit: Some(Arc::clone(&chain)),
+    let options = FleetOptions {
+        audit_dir: Some(audit_dir.clone()),
+        audit_flush: FlushPolicy::Always,
         ops: OpsOptions {
             flight_capacity: 64,
             ..OpsOptions::default()
         },
-        ..ServeOptions::default()
+        ..FleetOptions::default()
     };
-    let server = serve_with_options(policy.clone(), options, "127.0.0.1:0").expect("bind");
+    let server = serve_one(policy.clone(), options);
     let addr = server.addr();
 
     // A burst of traced decisions, one id we will follow all the way.
@@ -137,13 +134,12 @@ fn client_request_id_is_traceable_end_to_end() {
     assert!(report.passed(), "{report}");
     assert_eq!(report.decisions, 20);
     assert!(report.sealed);
-    let _ = std::fs::remove_file(&chain_path);
+    let _ = std::fs::remove_dir_all(&audit_dir);
 }
 
 #[test]
 fn invalid_request_ids_get_a_structured_422_and_no_decision() {
-    let server =
-        serve_with_options(toy_policy(), ServeOptions::default(), "127.0.0.1:0").expect("bind");
+    let server = serve_one(toy_policy(), FleetOptions::default());
     let addr = server.addr();
 
     for bad in ["has space", "tab\tchar", &"x".repeat(200)] {

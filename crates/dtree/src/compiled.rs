@@ -29,12 +29,6 @@
 //! kernels must still agree on hostile inputs). Equivalence is *proven*,
 //! not assumed: [`crate::equivalence::prove_equivalence`] sweeps the
 //! verification box grid before a compiled tree is eligible to serve.
-//!
-//! An optional fixed-point variant (compiled with
-//! [`CompileOptions::quantized`]) stores order-preserving integer keys
-//! of the thresholds and descends on integer compares — for targets
-//! where f64 compares are slow — with the NaN rule preserved by mapping
-//! NaN to the maximum key.
 
 use crate::error::TreeError;
 use crate::tree::{DecisionTree, LeafId, Node};
@@ -45,38 +39,6 @@ pub const LEAF_BIT: u32 = 1 << 31;
 
 /// Format tag of the serialized compiled artifact.
 const FORMAT_HEADER: &str = "ctree v1";
-
-/// Compilation flags.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct CompileOptions {
-    /// Also build the fixed-point (quantized-threshold) kernel.
-    pub quantized: bool,
-}
-
-/// Maps an `f64` to a `u64` key with the same total order as `<=` on
-/// non-NaN floats, with every NaN mapped to `u64::MAX`.
-///
-/// Negative floats have descending bit patterns, so their bits are
-/// inverted; positives get the sign bit set. `-0.0` keys *below* `+0.0`
-/// (they are distinct keys but equal floats), which is why
-/// [`CompiledTree`] normalizes `-0.0` thresholds to `+0.0` at
-/// quantization — inputs of either zero then land on the same side as
-/// the f64 compare. NaN → `u64::MAX` keeps the asymmetric routing rule:
-/// a NaN observation compares greater than every finite threshold key
-/// and routes right, exactly like `!(NaN <= t)`.
-#[inline]
-#[must_use]
-pub fn sort_key(value: f64) -> u64 {
-    if value.is_nan() {
-        return u64::MAX;
-    }
-    let bits = value.to_bits();
-    if bits >> 63 == 1 {
-        !bits
-    } else {
-        bits | (1 << 63)
-    }
-}
 
 /// A verified tree flattened into a branchless struct-of-arrays kernel.
 ///
@@ -110,9 +72,6 @@ pub struct CompiledTree {
     leaf_class: Vec<u32>,
     /// Per leaf: originating arena node id in the source tree.
     leaf_node: Vec<u32>,
-    /// Per split: order-preserving integer key of `threshold`
-    /// (empty unless compiled with [`CompileOptions::quantized`]).
-    qthreshold: Vec<u64>,
 }
 
 impl CompiledTree {
@@ -128,7 +87,7 @@ impl CompiledTree {
     /// Structural errors from validation, or
     /// [`TreeError::TooLargeToCompile`] when an index exceeds the flat
     /// layout's width (`u16` features, 31-bit node/leaf counts).
-    pub fn compile(tree: &DecisionTree, options: CompileOptions) -> Result<Self, TreeError> {
+    pub fn compile(tree: &DecisionTree) -> Result<Self, TreeError> {
         tree.validate_structure()?;
         if tree.n_features() > usize::from(u16::MAX) + 1 {
             return Err(TreeError::TooLargeToCompile {
@@ -177,7 +136,6 @@ impl CompiledTree {
             children: Vec::with_capacity(2 * splits as usize),
             leaf_class: Vec::with_capacity(leaves as usize),
             leaf_node: Vec::with_capacity(leaves as usize),
-            qthreshold: Vec::new(),
         };
         for &id in &bfs {
             match &tree.nodes[id] {
@@ -201,16 +159,16 @@ impl CompiledTree {
                 }
             }
         }
-        compiled.finish_layout(options.quantized);
+        compiled.finish_layout();
         Ok(compiled)
     }
 
-    /// Computes the descent depth, appends one virtual self-loop split
-    /// per leaf for the batch wavefront, and derives the quantized keys.
+    /// Computes the descent depth and appends one virtual self-loop split
+    /// per leaf for the batch wavefront.
     /// Called exactly once, after the real split/leaf arrays are filled
     /// and validated (the virtual rows would otherwise trip the
     /// child-ordering check — they intentionally point at themselves).
-    fn finish_layout(&mut self, quantized: bool) {
+    fn finish_layout(&mut self) {
         debug_assert_eq!(self.splits, self.feature.len());
         // Height DP in reverse BFS order: a split's children always
         // carry larger split indices, so `h[i]` is final when visited.
@@ -232,15 +190,6 @@ impl CompiledTree {
             self.threshold.push(f64::INFINITY);
             self.children.push(LEAF_BIT | leaf);
             self.children.push(LEAF_BIT | leaf);
-        }
-        if quantized {
-            self.qthreshold = self
-                .threshold
-                .iter()
-                // Normalize -0.0 → +0.0 so both zeros key identically to
-                // the threshold (see `sort_key`).
-                .map(|&t| sort_key(t + 0.0))
-                .collect();
         }
     }
 
@@ -277,12 +226,6 @@ impl CompiledTree {
         self.leaf_class.len()
     }
 
-    /// Whether the fixed-point kernel was compiled in.
-    #[must_use]
-    pub fn is_quantized(&self) -> bool {
-        !self.qthreshold.is_empty()
-    }
-
     #[inline]
     fn check_width(&self, got: usize) -> Result<(), TreeError> {
         if got != self.n_features {
@@ -315,22 +258,6 @@ impl CompiledTree {
         cursor
     }
 
-    /// Integer-compare descent over quantized keys; same structure as
-    /// [`CompiledTree::descend`].
-    #[inline]
-    fn descend_quantized(&self, keys: &[u64]) -> u32 {
-        let feature = self.feature.as_slice();
-        let qthreshold = self.qthreshold.as_slice();
-        let children = self.children.as_slice();
-        let mut cursor = self.root;
-        while cursor & LEAF_BIT == 0 {
-            let i = cursor as usize;
-            let go_right = keys[usize::from(feature[i])] > qthreshold[i];
-            cursor = children[2 * i + usize::from(go_right)];
-        }
-        cursor
-    }
-
     /// Predicts the class of one input vector.
     ///
     /// # Errors
@@ -353,34 +280,6 @@ impl CompiledTree {
         self.check_width(x.len())?;
         let leaf = (self.descend(x) & !LEAF_BIT) as usize;
         Ok(LeafId(self.leaf_node[leaf] as usize))
-    }
-
-    /// Predicts the class of one input vector on the fixed-point kernel.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::BadInputWidth`] for a wrong-width input and
-    /// [`TreeError::BadConfig`] when the tree was compiled without
-    /// [`CompileOptions::quantized`].
-    pub fn predict_quantized(&self, x: &[f64]) -> Result<usize, TreeError> {
-        self.check_width(x.len())?;
-        if !self.is_quantized() && self.split_count() > 0 {
-            return Err(TreeError::BadConfig {
-                what: "tree was compiled without the quantized kernel",
-            });
-        }
-        let mut stack = [0u64; 32];
-        let leaf = if x.len() <= stack.len() {
-            let keys = &mut stack[..x.len()];
-            for (k, &v) in keys.iter_mut().zip(x) {
-                *k = sort_key(v);
-            }
-            self.descend_quantized(keys)
-        } else {
-            let keys: Vec<u64> = x.iter().map(|&v| sort_key(v)).collect();
-            self.descend_quantized(&keys)
-        };
-        Ok(self.leaf_class[(leaf & !LEAF_BIT) as usize] as usize)
     }
 
     /// Classifies a row-major batch (`rows.len() = n · n_features`) into
@@ -467,8 +366,7 @@ impl CompiledTree {
     /// `N <feature> <threshold> <left> <right>` is one split (children
     /// written as `S<split>` or `L<leaf>`); `F <class> <source-node>`
     /// one leaf. Floats print with round-trip precision, so the hash is
-    /// stable across serialize/parse cycles. The quantized kernel is
-    /// derived data and is *not* serialized — a parser recomputes it.
+    /// stable across serialize/parse cycles.
     #[must_use]
     pub fn to_compact_string(&self) -> String {
         let cursor = |c: u32| {
@@ -505,15 +403,12 @@ impl CompiledTree {
     /// [`CompiledTree::to_compact_string`], revalidating every index so
     /// a tampered or truncated artifact is rejected rather than served.
     ///
-    /// `quantized` controls whether the fixed-point kernel is rebuilt
-    /// (it is derived data, never stored).
-    ///
     /// # Errors
     ///
     /// Returns [`TreeError::BadConfig`] naming the first malformed line,
     /// or [`TreeError::NonFiniteThreshold`] /
     /// [`TreeError::ChildOutOfRange`] for structural offenses.
-    pub fn from_compact_string(text: &str, options: CompileOptions) -> Result<Self, TreeError> {
+    pub fn from_compact_string(text: &str) -> Result<Self, TreeError> {
         let bad = |what: &'static str| TreeError::BadConfig { what };
         let mut lines = text.lines();
         if lines.next().map(str::trim) != Some(FORMAT_HEADER) {
@@ -586,7 +481,6 @@ impl CompiledTree {
             children: Vec::with_capacity(2 * splits),
             leaf_class: Vec::with_capacity(leaves),
             leaf_node: Vec::with_capacity(leaves),
-            qthreshold: Vec::new(),
             splits,
             depth: 0,
         };
@@ -661,7 +555,7 @@ impl CompiledTree {
                 }
             }
         }
-        compiled.finish_layout(options.quantized);
+        compiled.finish_layout();
         Ok(compiled)
     }
 }
@@ -686,7 +580,7 @@ mod tests {
     #[test]
     fn compiled_matches_enum_walk_on_a_grid() {
         let tree = fitted(200, 3, 5);
-        let compiled = CompiledTree::compile(&tree, CompileOptions { quantized: true }).unwrap();
+        let compiled = CompiledTree::compile(&tree).unwrap();
         for i in 0..500 {
             let x = [
                 (i % 23) as f64 - 11.0,
@@ -695,7 +589,6 @@ mod tests {
             ];
             let expected = tree.predict(&x).unwrap();
             assert_eq!(compiled.predict(&x).unwrap(), expected);
-            assert_eq!(compiled.predict_quantized(&x).unwrap(), expected);
             assert_eq!(compiled.apply(&x).unwrap(), tree.apply(&x).unwrap());
         }
     }
@@ -703,17 +596,12 @@ mod tests {
     #[test]
     fn nan_routes_right_in_both_kernels() {
         let tree = fitted(120, 2, 4);
-        let compiled = CompiledTree::compile(&tree, CompileOptions { quantized: true }).unwrap();
+        let compiled = CompiledTree::compile(&tree).unwrap();
         for hostile in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY, -f64::NAN] {
             for other in [-3.0, 0.0, 7.5, f64::NAN] {
                 for x in [[hostile, other], [other, hostile]] {
                     let expected = tree.predict(&x).unwrap();
                     assert_eq!(compiled.predict(&x).unwrap(), expected, "x = {x:?}");
-                    assert_eq!(
-                        compiled.predict_quantized(&x).unwrap(),
-                        expected,
-                        "quantized x = {x:?}"
-                    );
                 }
             }
         }
@@ -722,7 +610,7 @@ mod tests {
     #[test]
     fn batch_matches_single() {
         let tree = fitted(150, 3, 6);
-        let compiled = CompiledTree::compile(&tree, CompileOptions::default()).unwrap();
+        let compiled = CompiledTree::compile(&tree).unwrap();
         // 21 rows: exercises full waves and the ragged tail.
         let rows: Vec<f64> = (0..63).map(|i| (i % 19) as f64 / 2.0 - 4.0).collect();
         let mut out = Vec::new();
@@ -736,11 +624,10 @@ mod tests {
     #[test]
     fn single_leaf_tree_compiles() {
         let tree = DecisionTree::fit(&[vec![1.0, 2.0]], &[3], 5, &TreeConfig::default()).unwrap();
-        let compiled = CompiledTree::compile(&tree, CompileOptions { quantized: true }).unwrap();
+        let compiled = CompiledTree::compile(&tree).unwrap();
         assert_eq!(compiled.split_count(), 0);
         assert_eq!(compiled.leaf_count(), 1);
         assert_eq!(compiled.predict(&[9.0, -9.0]).unwrap(), 3);
-        assert_eq!(compiled.predict_quantized(&[9.0, -9.0]).unwrap(), 3);
         let mut out = Vec::new();
         compiled
             .predict_batch_into(&[0.0, 0.0, 1.0, 1.0], &mut out)
@@ -768,16 +655,15 @@ mod tests {
             n_features: 1,
             n_classes: 2,
         };
-        assert!(CompiledTree::compile(&cyclic, CompileOptions::default()).is_err());
+        assert!(CompiledTree::compile(&cyclic).is_err());
     }
 
     #[test]
     fn artifact_roundtrips_and_rejects_tampering() {
         let tree = fitted(160, 3, 5);
-        let options = CompileOptions { quantized: true };
-        let compiled = CompiledTree::compile(&tree, options).unwrap();
+        let compiled = CompiledTree::compile(&tree).unwrap();
         let text = compiled.to_compact_string();
-        let restored = CompiledTree::from_compact_string(&text, options).unwrap();
+        let restored = CompiledTree::from_compact_string(&text).unwrap();
         assert_eq!(compiled, restored);
         // Tampered variants must be rejected, not served.
         for tampered in [
@@ -790,36 +676,10 @@ mod tests {
                 continue;
             }
             assert!(
-                CompiledTree::from_compact_string(&tampered, options).is_err()
-                    || CompiledTree::from_compact_string(&tampered, options).unwrap() != compiled,
+                CompiledTree::from_compact_string(&tampered).is_err()
+                    || CompiledTree::from_compact_string(&tampered).unwrap() != compiled,
                 "tampered artifact accepted as identical: {tampered:?}"
             );
         }
-    }
-
-    #[test]
-    fn sort_key_orders_like_f64() {
-        let values = [
-            f64::NEG_INFINITY,
-            -1e300,
-            -2.5,
-            -f64::MIN_POSITIVE,
-            -0.0,
-            0.0,
-            f64::MIN_POSITIVE,
-            1.0,
-            1e300,
-            f64::INFINITY,
-        ];
-        for (i, &a) in values.iter().enumerate() {
-            for &b in &values[i..] {
-                if a < b {
-                    assert!(sort_key(a) < sort_key(b), "{a} vs {b}");
-                }
-            }
-        }
-        assert_eq!(sort_key(f64::NAN), u64::MAX);
-        assert_eq!(sort_key(-f64::NAN), u64::MAX);
-        assert!(sort_key(f64::INFINITY) < u64::MAX);
     }
 }

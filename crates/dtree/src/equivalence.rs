@@ -45,14 +45,12 @@ const FULL_CORNER_DIMS: usize = 12;
 /// Evidence that the sweep ran and what it covered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EquivalenceProof {
-    /// Total probe vectors evaluated on every kernel.
+    /// Total probe vectors evaluated on the compiled kernel.
     pub probes: usize,
     /// Leaf boxes swept.
     pub leaves: usize,
     /// Distinct split thresholds probed ±1 ulp.
     pub thresholds: usize,
-    /// Whether the fixed-point kernel was also checked.
-    pub quantized: bool,
 }
 
 /// The next representable f64 above `v`.
@@ -67,28 +65,14 @@ fn ulp_down(v: f64) -> f64 {
     v.next_down()
 }
 
-/// Checks one probe on every kernel; returns the typed mismatch if any
-/// kernel disagrees with the reference walk.
+/// Checks one probe on the compiled kernel; returns the typed mismatch
+/// if it disagrees with the reference walk.
 fn check_probe(tree: &DecisionTree, compiled: &CompiledTree, x: &[f64]) -> Result<(), TreeError> {
     let expected_leaf = tree.apply(x)?;
     let expected = tree.leaf_class(expected_leaf)?;
     let got = compiled.predict(x)?;
     if got != expected || compiled.apply(x)? != expected_leaf {
-        return Err(TreeError::KernelMismatch {
-            kernel: "compiled",
-            expected,
-            got,
-        });
-    }
-    if compiled.is_quantized() {
-        let got = compiled.predict_quantized(x)?;
-        if got != expected {
-            return Err(TreeError::KernelMismatch {
-                kernel: "quantized",
-                expected,
-                got,
-            });
-        }
+        return Err(TreeError::KernelMismatch { expected, got });
     }
     Ok(())
 }
@@ -219,14 +203,12 @@ pub fn prove_equivalence(
         probes,
         leaves,
         thresholds: thresholds.len(),
-        quantized: compiled.is_quantized(),
     })
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::compiled::CompileOptions;
     use crate::tree::TreeConfig;
 
     fn fitted(n: usize, features: usize, classes: usize, stride: usize) -> DecisionTree {
@@ -245,29 +227,26 @@ mod tests {
     fn proof_passes_for_compiled_trees() {
         for stride in [7, 13, 17] {
             let tree = fitted(180, 3, 5, stride);
-            let compiled =
-                CompiledTree::compile(&tree, CompileOptions { quantized: true }).unwrap();
+            let compiled = CompiledTree::compile(&tree).unwrap();
             let proof = prove_equivalence(&tree, &compiled).unwrap();
             assert!(proof.probes > 0);
             assert_eq!(proof.leaves, tree.leaf_count());
-            assert!(proof.quantized);
         }
     }
 
     #[test]
     fn proof_passes_for_single_leaf_tree() {
         let tree = DecisionTree::fit(&[vec![1.0, 2.0]], &[0], 2, &TreeConfig::default()).unwrap();
-        let compiled = CompiledTree::compile(&tree, CompileOptions::default()).unwrap();
+        let compiled = CompiledTree::compile(&tree).unwrap();
         let proof = prove_equivalence(&tree, &compiled).unwrap();
         assert_eq!(proof.leaves, 1);
-        assert!(!proof.quantized);
     }
 
     #[test]
     fn proof_fails_for_a_kernel_of_a_different_tree() {
         let tree_a = fitted(180, 2, 4, 7);
         let tree_b = fitted(180, 2, 4, 23);
-        let compiled_b = CompiledTree::compile(&tree_b, CompileOptions::default()).unwrap();
+        let compiled_b = CompiledTree::compile(&tree_b).unwrap();
         // Same shape-class of tree, different splits: some probe must
         // disagree (the trees classify the grid differently).
         let result = prove_equivalence(&tree_a, &compiled_b);

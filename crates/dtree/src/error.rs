@@ -125,8 +125,6 @@ pub enum TreeError {
     /// The compiled kernel disagreed with the reference enum walk on an
     /// equivalence probe — the compiled form is not eligible to serve.
     KernelMismatch {
-        /// Which compiled kernel disagreed (`"compiled"`, `"quantized"`).
-        kernel: &'static str,
         /// Class predicted by the reference `DecisionTree` walk.
         expected: usize,
         /// Class predicted by the compiled kernel.
@@ -200,14 +198,10 @@ impl fmt::Display for TreeError {
             TreeError::TooLargeToCompile { what } => {
                 write!(f, "tree exceeds compiled-layout limit: {what}")
             }
-            TreeError::KernelMismatch {
-                kernel,
-                expected,
-                got,
-            } => {
+            TreeError::KernelMismatch { expected, got } => {
                 write!(
                     f,
-                    "{kernel} kernel predicted class {got} where the reference walk \
+                    "compiled kernel predicted class {got} where the reference walk \
                      predicted {expected}"
                 )
             }

@@ -47,7 +47,7 @@ pub mod interval;
 pub mod serialize;
 pub mod tree;
 
-pub use compiled::{sort_key, CompileOptions, CompiledTree, LEAF_BIT};
+pub use compiled::{CompiledTree, LEAF_BIT};
 pub use equivalence::{prove_equivalence, EquivalenceProof};
 pub use error::TreeError;
 pub use interval::{InputBox, Interval};

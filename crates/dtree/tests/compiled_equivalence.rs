@@ -3,12 +3,12 @@
 //! Property sweep over randomly grown trees — depths 1–16, duplicate
 //! thresholds on purpose (a small threshold pool), single-leaf
 //! degenerate trees — each serialized through the `dtree v1` text
-//! format, compiled (with the quantized kernel), and proven equivalent
+//! format, compiled, and proven equivalent
 //! by the box-grid + ulp-adjacent + hostile-probe sweep. A random-probe
 //! cross-check runs on top of the proof, so a prover bug and a kernel
 //! bug would have to agree to slip through.
 
-use hvac_dtree::{prove_equivalence, CompileOptions, CompiledTree, DecisionTree, TreeError};
+use hvac_dtree::{prove_equivalence, CompiledTree, DecisionTree, TreeError};
 use proptest::prelude::*;
 
 /// Deterministic splitmix64 — the test's only entropy source.
@@ -125,8 +125,7 @@ proptest! {
         let depth = depth.min(20 - 2 * dims);
         let text = random_tree_text(seed, depth, dims, 7);
         let tree = DecisionTree::from_compact_string(&text).expect("generated tree is valid");
-        let options = CompileOptions { quantized: true };
-        let compiled = CompiledTree::compile(&tree, options).expect("compiles");
+        let compiled = CompiledTree::compile(&tree).expect("compiles");
         let proof = prove_equivalence(&tree, &compiled).expect("proof holds");
         prop_assert!(proof.probes > 0);
         prop_assert_eq!(proof.leaves, tree.leaf_count());
@@ -137,15 +136,11 @@ proptest! {
             let x = random_input(&mut rng, dims);
             let expected = tree.predict(&x).expect("reference predict");
             prop_assert_eq!(compiled.predict(&x).expect("compiled predict"), expected);
-            prop_assert_eq!(
-                compiled.predict_quantized(&x).expect("quantized predict"),
-                expected
-            );
         }
 
         // The serialized artifact round-trips to the same kernel.
         let artifact = compiled.to_compact_string();
-        let restored = CompiledTree::from_compact_string(&artifact, options).expect("parses");
+        let restored = CompiledTree::from_compact_string(&artifact).expect("parses");
         prop_assert_eq!(&compiled, &restored);
         prove_equivalence(&tree, &restored).expect("restored kernel proof holds");
     }
@@ -155,7 +150,7 @@ proptest! {
 fn single_leaf_degenerate_tree_is_equivalent() {
     let text = "dtree v1\nfeatures 3\nclasses 9\nnodes 1\nL 4 1\n";
     let tree = DecisionTree::from_compact_string(text).unwrap();
-    let compiled = CompiledTree::compile(&tree, CompileOptions { quantized: true }).unwrap();
+    let compiled = CompiledTree::compile(&tree).unwrap();
     let proof = prove_equivalence(&tree, &compiled).unwrap();
     assert_eq!(proof.leaves, 1);
     assert_eq!(compiled.predict(&[f64::NAN, 0.0, 1e300]).unwrap(), 4);
@@ -169,7 +164,7 @@ fn tampered_threshold_fails_the_proof() {
         .find_map(|seed| {
             let text = random_tree_text(seed, 6, 2, 5);
             let tree = DecisionTree::from_compact_string(&text).ok()?;
-            let compiled = CompiledTree::compile(&tree, CompileOptions::default()).ok()?;
+            let compiled = CompiledTree::compile(&tree).ok()?;
             let artifact = compiled.to_compact_string();
             artifact.contains("21.75").then_some((tree, artifact))
         })
@@ -177,8 +172,7 @@ fn tampered_threshold_fails_the_proof() {
     // Nudge the first occurrence of that threshold in the artifact.
     let tampered_text = artifact.replacen("21.75", "21.5", 1);
     assert_ne!(tampered_text, artifact);
-    let tampered =
-        CompiledTree::from_compact_string(&tampered_text, CompileOptions::default()).unwrap();
+    let tampered = CompiledTree::from_compact_string(&tampered_text).unwrap();
     assert!(matches!(
         prove_equivalence(&tree, &tampered),
         Err(TreeError::KernelMismatch { .. })
