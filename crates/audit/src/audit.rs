@@ -244,7 +244,7 @@ impl<'a> Auditor<'a> {
     /// Supplies the compiled flat-kernel artifact (`ctree v1` text),
     /// enabling the `compiled` binding check: the artifact must hash to
     /// the certificate's `compiled_hash`, parse, and — when the policy
-    /// is also supplied — re-prove exhaustively equivalent to the tree
+    /// is also supplied — re-prove equivalent, node for node, to the tree
     /// it claims to compile.
     #[must_use]
     pub fn with_compiled_artifact(mut self, artifact: &'a str) -> Self {
@@ -569,9 +569,10 @@ impl<'a> Auditor<'a> {
         // 10. compiled: the fast-path artifact is the one the
         // certificate committed to, and it still computes the same
         // function as the verified tree. Hash binding catches a swapped
-        // or edited file; the re-proof catches the (paranoid) case of a
-        // hash-colliding-by-construction certificate: even a *bound*
-        // artifact must re-prove equivalent when the policy is present.
+        // or edited file; the re-proof catches a certificate that binds
+        // a kernel which is not the tree (a hand-edited artifact whose
+        // hash was committed): even a *bound* artifact must re-prove
+        // equivalent, node for node, when the policy is present.
         if let Some(artifact) = self.compiled_artifact {
             let actual = sha256_hex(artifact.as_bytes());
             let mut detail: Result<String, String> = Ok(format!(
@@ -598,11 +599,12 @@ impl<'a> Auditor<'a> {
                     Ok(kernel) => {
                         if let Some(policy) = self.policy {
                             match prove_equivalence(policy.tree(), &kernel) {
-                                Ok(proof) => {
+                                Ok(()) => {
                                     detail = Ok(format!(
-                                        "artifact hash bound; equivalence re-proven over \
-                                         {} probes across {} leaf boxes",
-                                        proof.probes, proof.leaves
+                                        "artifact hash bound; equivalence re-proven node for \
+                                         node over {} splits and {} leaves",
+                                        kernel.split_count(),
+                                        kernel.leaf_count()
                                     ));
                                 }
                                 Err(e) => {

@@ -443,6 +443,57 @@ fn tampered_compiled_artifact_fails_the_compiled_check() {
     );
 }
 
+/// A kernel that is *not* the tree but agrees with it on every point a
+/// sampled check would pick: the tree is `x0 <= 0 → class 0 | class 1`,
+/// and the kernel adds splits inside the right leaf's box so that
+/// x0 in (5, 6] answers class 0. A certificate that binds this kernel's
+/// hash must still fail the `compiled` check.
+#[test]
+fn bound_kernel_with_extra_splits_in_a_leaf_box_fails_the_compiled_check() {
+    let classes = ActionSpace::new().len();
+    let policy = DtPolicy::new(
+        DecisionTree::from_compact_string(&format!(
+            "dtree v1\nfeatures {POLICY_INPUT_DIM}\nclasses {classes}\nnodes 3\n\
+             S 0 0.0 1 2\nL 0 1\nL 1 1\n"
+        ))
+        .unwrap(),
+    )
+    .unwrap();
+    let kernel = format!(
+        "ctree v1\nfeatures {POLICY_INPUT_DIM}\nclasses {classes}\nroot S0\nsplits 3\n\
+         leaves 4\nN 0 0.0 L0 S1\nN 0 5.0 L1 S2\nN 0 6.0 L2 L3\nF 0 1\nF 1 2\nF 0 2\nF 1 2\n"
+    );
+    let parsed = hvac_dtree::CompiledTree::from_compact_string(&kernel).unwrap();
+    let mut x = [0.0; POLICY_INPUT_DIM];
+    x[0] = 5.5;
+    assert_ne!(
+        parsed.predict(&x).unwrap(),
+        policy.tree().predict(&x).unwrap()
+    );
+
+    let certificate = bind_certificate(
+        unbound_certificate(&policy).with_compiled_hash(hvac_audit::compiled_hash(&kernel)),
+    );
+    let text = record_session(
+        "compiled-extra-splits.jsonl",
+        &policy,
+        &certificate.certificate_id,
+        30,
+        16,
+    );
+    let report = Auditor::new(&text)
+        .with_policy(&policy)
+        .with_certificate(&certificate)
+        .with_compiled_artifact(&kernel)
+        .run();
+    assert_eq!(failed_names(&report), vec!["compiled"], "{report}");
+    let detail = &report.first_failure().unwrap().detail;
+    assert!(
+        detail.contains("NOT equivalent") && detail.contains("kind"),
+        "{report}"
+    );
+}
+
 #[test]
 fn torn_final_record_recovers_at_every_cut_offset() {
     let policy = toy_policy();

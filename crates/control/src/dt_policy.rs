@@ -8,7 +8,7 @@
 //! (Table 3).
 
 use crate::error::ControlError;
-use hvac_dtree::{prove_equivalence, CompiledTree, DecisionTree, EquivalenceProof};
+use hvac_dtree::{prove_equivalence, CompiledTree, DecisionTree};
 use hvac_env::space::feature;
 use hvac_env::{ActionSpace, Observation, Policy, SetpointAction, POLICY_INPUT_DIM};
 
@@ -36,8 +36,8 @@ use hvac_env::{ActionSpace, Observation, Policy, SetpointAction, POLICY_INPUT_DI
 pub struct DtPolicy {
     tree: DecisionTree,
     action_space: ActionSpace,
-    /// Flat branchless kernel, present only when the proof-of-
-    /// equivalence sweep passed for this exact tree. Invalidated by
+    /// Flat branchless kernel, present only when the proof of
+    /// equivalence passed for this exact tree. Invalidated by
     /// [`DtPolicy::tree_mut`]; rebuilt by [`DtPolicy::recompile`].
     compiled: Option<CompiledTree>,
 }
@@ -56,9 +56,10 @@ impl DtPolicy {
     ///
     /// Validates the tree structurally (a malformed tree — cycle,
     /// dangling child, NaN threshold — is rejected, never served), then
-    /// compiles the flat kernel and proves it equivalent over the
-    /// verification box grid. If compilation or the proof fails the
-    /// policy still constructs and serves the reference enum walk.
+    /// compiles the flat kernel and proves it equivalent (a lock-step
+    /// structural walk of tree and kernel). If compilation or the proof
+    /// fails the policy still constructs and serves the reference enum
+    /// walk.
     ///
     /// # Errors
     ///
@@ -104,14 +105,13 @@ impl DtPolicy {
 
     /// Compiles the flat kernel for the current tree and proves it
     /// equivalent; the kernel serves only if the proof passes. Returns
-    /// the proof, or `None` when compilation or the proof failed (the
-    /// policy then serves the enum walk).
-    pub fn recompile(&mut self) -> Option<EquivalenceProof> {
-        self.compiled = None;
-        let compiled = CompiledTree::compile(&self.tree).ok()?;
-        let proof = prove_equivalence(&self.tree, &compiled).ok()?;
-        self.compiled = Some(compiled);
-        Some(proof)
+    /// whether a proven kernel is now active (`false`: compilation or
+    /// the proof failed, and the policy serves the enum walk).
+    pub fn recompile(&mut self) -> bool {
+        self.compiled = CompiledTree::compile(&self.tree)
+            .ok()
+            .filter(|compiled| prove_equivalence(&self.tree, compiled).is_ok());
+        self.compiled.is_some()
     }
 
     /// The proven compiled kernel, if one is active.
@@ -403,10 +403,12 @@ mod tests {
         // must drop it so the enum walk serves the corrected tree.
         assert!(p.compiled().is_none());
         assert_eq!(p.decide_shared(&o), SetpointAction::new(21, 25).unwrap());
-        let proof = p.recompile().expect("re-proof passes");
-        assert!(proof.probes > 0);
+        assert!(p.recompile(), "re-proof passes");
         assert_eq!(p.decide_shared(&o), SetpointAction::new(21, 25).unwrap());
-        assert!(p.compiled().is_some());
+        let kernel = p
+            .compiled()
+            .expect("a passing re-proof installs the kernel");
+        assert_eq!(kernel.leaf_count(), p.tree().leaf_count());
     }
 
     #[test]

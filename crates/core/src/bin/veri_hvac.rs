@@ -127,7 +127,7 @@ are sealed and archived.
 `verify` writes certificate.json beside the policy: the verification
 verdict bound (SHA-256) to the exact policy bytes, inputs, and artifact
 hashes. It also compiles the verified tree into a flat serving kernel,
-proves the kernel equivalent over the verification box grid, writes it
+proves the kernel node for node equal to the tree, writes it
 as policy.ctree, and commits its hash into the certificate
 (compiled_hash). `serve` picks the certificate up automatically (or via
 --certificate FILE / the --cache-dir store), reports it on
@@ -150,8 +150,8 @@ digest is recomputed, the certificate binding is checked, and sampled
 decisions are re-executed through the policy (--replay N, default 64)
 for bit-identical actions. `--compiled FILE` additionally checks the
 flat serving kernel: the artifact must hash to the certificate's
-compiled_hash and (with --policy) re-prove exhaustively equivalent to
-the verified tree, so a swapped or tampered policy.ctree fails loudly. `--allow-unsealed` tolerates chains from
+compiled_hash and (with --policy) re-prove equivalent to the verified
+tree node for node, so a swapped or tampered policy.ctree fails loudly. `--allow-unsealed` tolerates chains from
 signal-killed serves; `--json` prints the machine-readable report
 (its failure_class field separates a crash's torn_tail from a
 tampered bad_hash). A torn-tail failure names the exact byte offset —
@@ -472,29 +472,25 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
     }
 
     // Compile the (post-correction) tree into its flat serving kernel
-    // and write the artifact beside the policy. `recompile` re-proves
-    // exhaustive equivalence over the verification box grid before
-    // handing back a kernel, so a written `policy.ctree` is *proven*,
-    // not just derived.
+    // and write the artifact beside the policy. `recompile` proves the
+    // kernel node for node equal to the tree before installing it, so a
+    // written `policy.ctree` is *proven*, not just derived.
     let mut compiled_hash = String::new();
-    match policy.recompile() {
-        Some(proof) => {
-            let artifact = policy
-                .compiled_artifact()
-                .expect("recompile returned a proof, so the artifact exists");
-            let compiled_path = artifacts_dir.join("policy.ctree");
-            std::fs::write(&compiled_path, &artifact)
-                .map_err(|e| format!("cannot write {}: {e}", compiled_path.display()))?;
-            compiled_hash = hvac_audit::compiled_hash(&artifact);
-            println!(
-                "compiled kernel proven equivalent ({} probes across {} leaf boxes), \
-                 written to {}",
-                proof.probes,
-                proof.leaves,
-                compiled_path.display()
-            );
-        }
-        None => println!("compiled kernel unavailable; policy will serve via the enum walk"),
+    policy.recompile();
+    if let Some(kernel) = policy.compiled() {
+        let artifact = kernel.to_compact_string();
+        let compiled_path = artifacts_dir.join("policy.ctree");
+        std::fs::write(&compiled_path, &artifact)
+            .map_err(|e| format!("cannot write {}: {e}", compiled_path.display()))?;
+        compiled_hash = hvac_audit::compiled_hash(&artifact);
+        println!(
+            "compiled kernel proven equivalent ({} splits, {} leaves), written to {}",
+            kernel.split_count(),
+            kernel.leaf_count(),
+            compiled_path.display()
+        );
+    } else {
+        println!("compiled kernel unavailable; policy will serve via the enum walk");
     }
 
     // Emit the verification certificate: the verdict bound to the
@@ -1287,7 +1283,7 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 
     // `--compiled FILE` supplies the flat-kernel artifact for the
     // binding check: it must hash to the certificate's compiled_hash
-    // and (with --policy) re-prove exhaustively equivalent to the tree.
+    // and (with --policy) re-prove equivalent to the tree node for node.
     let compiled_artifact = args
         .flag("compiled")
         .map(|path| {

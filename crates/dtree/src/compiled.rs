@@ -27,11 +27,12 @@
 //! observation routes **right** at every split in both kernels (keeping
 //! NaNs out entirely is the guard's job — see `GuardConfig` — but the
 //! kernels must still agree on hostile inputs). Equivalence is *proven*,
-//! not assumed: [`crate::equivalence::prove_equivalence`] sweeps the
-//! verification box grid before a compiled tree is eligible to serve.
+//! not assumed: [`crate::equivalence::prove_equivalence`] walks the tree
+//! and the kernel in lock-step, node pair by node pair, before a compiled
+//! tree is eligible to serve.
 
 use crate::error::TreeError;
-use crate::tree::{DecisionTree, LeafId, Node};
+use crate::tree::{DecisionTree, Node};
 
 /// Top bit of a child word: set means "leaf", lower bits are the leaf
 /// index into [`CompiledTree`]'s leaf arrays.
@@ -50,7 +51,7 @@ pub struct CompiledTree {
     n_features: usize,
     n_classes: usize,
     /// Encoded root cursor — a leaf word for single-leaf trees.
-    root: u32,
+    pub(crate) root: u32,
     /// Number of *real* splits; entries past this index in the split
     /// arrays are the per-leaf virtual self-loops used by the batch
     /// wavefront (see [`CompiledTree::predict_batch_into`]).
@@ -63,15 +64,15 @@ pub struct CompiledTree {
     /// `+∞` threshold, both children the leaf's own cursor — a leaf
     /// cursor "advances" to itself, which lets the batch wavefront
     /// update every lane unconditionally.
-    feature: Vec<u16>,
+    pub(crate) feature: Vec<u16>,
     /// Per split: comparison threshold.
-    threshold: Vec<f64>,
+    pub(crate) threshold: Vec<f64>,
     /// Per split: `[left, right]` child words at `2·i` and `2·i + 1`.
-    children: Vec<u32>,
+    pub(crate) children: Vec<u32>,
     /// Per leaf: predicted class.
-    leaf_class: Vec<u32>,
+    pub(crate) leaf_class: Vec<u32>,
     /// Per leaf: originating arena node id in the source tree.
-    leaf_node: Vec<u32>,
+    pub(crate) leaf_node: Vec<u32>,
 }
 
 impl CompiledTree {
@@ -226,17 +227,6 @@ impl CompiledTree {
         self.leaf_class.len()
     }
 
-    #[inline]
-    fn check_width(&self, got: usize) -> Result<(), TreeError> {
-        if got != self.n_features {
-            return Err(TreeError::BadInputWidth {
-                expected: self.n_features,
-                got,
-            });
-        }
-        Ok(())
-    }
-
     /// The branch-light descent: one compare and one leaf-bit test per
     /// hop, with the child slot derived by index arithmetic — no enum
     /// match, no pointer chase. `!(x <= t)` (not `x > t`) keeps the
@@ -264,22 +254,14 @@ impl CompiledTree {
     ///
     /// Returns [`TreeError::BadInputWidth`] for a wrong-width input.
     pub fn predict(&self, x: &[f64]) -> Result<usize, TreeError> {
-        self.check_width(x.len())?;
+        if x.len() != self.n_features {
+            return Err(TreeError::BadInputWidth {
+                expected: self.n_features,
+                got: x.len(),
+            });
+        }
         let leaf = (self.descend(x) & !LEAF_BIT) as usize;
         Ok(self.leaf_class[leaf] as usize)
-    }
-
-    /// Returns the *source-tree* leaf that handles `x` — the same
-    /// [`LeafId`] the enum walk's `apply` returns, so callers can keep
-    /// using leaf boxes and leaf editing against the original arena.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`TreeError::BadInputWidth`] for a wrong-width input.
-    pub fn apply(&self, x: &[f64]) -> Result<LeafId, TreeError> {
-        self.check_width(x.len())?;
-        let leaf = (self.descend(x) & !LEAF_BIT) as usize;
-        Ok(LeafId(self.leaf_node[leaf] as usize))
     }
 
     /// Classifies a row-major batch (`rows.len() = n · n_features`) into
@@ -369,19 +351,12 @@ impl CompiledTree {
     /// stable across serialize/parse cycles.
     #[must_use]
     pub fn to_compact_string(&self) -> String {
-        let cursor = |c: u32| {
-            if c & LEAF_BIT == 0 {
-                format!("S{c}")
-            } else {
-                format!("L{}", c & !LEAF_BIT)
-            }
-        };
         let mut out = String::new();
         out.push_str(FORMAT_HEADER);
         out.push('\n');
         out.push_str(&format!("features {}\n", self.n_features));
         out.push_str(&format!("classes {}\n", self.n_classes));
-        out.push_str(&format!("root {}\n", cursor(self.root)));
+        out.push_str(&format!("root {}\n", cursor_label(self.root)));
         out.push_str(&format!("splits {}\n", self.split_count()));
         out.push_str(&format!("leaves {}\n", self.leaf_count()));
         for i in 0..self.split_count() {
@@ -389,8 +364,8 @@ impl CompiledTree {
                 "N {} {:?} {} {}\n",
                 self.feature[i],
                 self.threshold[i],
-                cursor(self.children[2 * i]),
-                cursor(self.children[2 * i + 1]),
+                cursor_label(self.children[2 * i]),
+                cursor_label(self.children[2 * i + 1]),
             ));
         }
         for i in 0..self.leaf_count() {
@@ -560,10 +535,19 @@ impl CompiledTree {
     }
 }
 
+/// A cursor in the artifact's notation: `S<split>` or `L<leaf>`.
+pub(crate) fn cursor_label(c: u32) -> String {
+    if c & LEAF_BIT == 0 {
+        format!("S{c}")
+    } else {
+        format!("L{}", c & !LEAF_BIT)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tree::TreeConfig;
+    use crate::tree::{LeafId, TreeConfig};
 
     fn fitted(n: usize, features: usize, classes: usize) -> DecisionTree {
         let inputs: Vec<Vec<f64>> = (0..n)
@@ -589,7 +573,11 @@ mod tests {
             ];
             let expected = tree.predict(&x).unwrap();
             assert_eq!(compiled.predict(&x).unwrap(), expected);
-            assert_eq!(compiled.apply(&x).unwrap(), tree.apply(&x).unwrap());
+            let leaf = (compiled.descend(&x) & !LEAF_BIT) as usize;
+            assert_eq!(
+                LeafId(compiled.leaf_node[leaf] as usize),
+                tree.apply(&x).unwrap()
+            );
         }
     }
 

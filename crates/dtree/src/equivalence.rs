@@ -2,208 +2,110 @@
 //!
 //! "Prove, don't assume": the verification story of the paper rests on
 //! Algorithm 1 checking the *deployed* artifact, so a compiled kernel is
-//! only eligible to serve after an exhaustive probe sweep shows it
-//! agrees with the reference enum walk everywhere that matters. Both
-//! kernels are piecewise-constant over the same axis-aligned leaf boxes,
-//! so agreement on a finite, carefully-chosen probe set — every leaf box
-//! corner, threshold-adjacent points ±1 ulp on every split feature, and
-//! hostile NaN/±∞ probes — transfers the verification certificate from
-//! the tree to the compiled form.
+//! only eligible to serve once it is shown to be the verified tree in
+//! another layout. The proof is a structural bisimulation: walk the tree
+//! from node 0 and the kernel from its root in lock-step, and require
+//! every pair to agree on
 //!
-//! The probe families, per leaf box of the source tree:
+//! * the node kind — split with split, leaf with leaf;
+//! * at splits, the feature index and the threshold bits
+//!   (`f64::to_bits`);
+//! * at leaves, the class and the source node id;
 //!
-//! 1. **Corners** — the `2^d` combinations of per-dimension extremes
-//!    (one ulp inside the open lower bound; exactly on the closed upper
-//!    bound; large finite surrogates for unbounded sides), plus the
-//!    box representative. These are exactly the grid points Algorithm
-//!    1's box verification reasons about.
-//! 2. **Threshold-adjacent** — for every distinct `(feature, t)` split
-//!    in the tree, the leaf representative with that coordinate forced
-//!    to `t`, `t + 1 ulp` and `t − 1 ulp`: the three points that pin
-//!    down the `<=` boundary and its rounding behavior.
-//! 3. **Hostile** — the representative with each coordinate replaced by
-//!    NaN, `+∞` and `−∞` (the guard keeps these out in production, but
-//!    the kernels must agree even on hostile inputs — NaN routes right
-//!    at every split in both).
+//! plus equal feature and class counts, with every kernel split and leaf
+//! visited exactly once (a second visit is a shared node, an unvisited
+//! one is unreachable). Both kernels route with the same `!(x <= t)`
+//! rule, so NaN goes right at every split in both: paired splits send
+//! every input — NaN and ±∞ included — to paired children, and by
+//! induction to paired leaves with the same class. The proof is exact
+//! for every input and costs O(nodes); marking kernel nodes as visited
+//! also bounds the walk on hostile artifacts.
 //!
-//! A disagreement on any probe fails the proof with
-//! [`TreeError::KernelMismatch`]; callers must then serve the enum walk.
+//! A broken invariant fails the proof with [`TreeError::KernelMismatch`]
+//! naming the node pair and the invariant; callers must then serve the
+//! enum walk.
 
-use crate::compiled::CompiledTree;
+use crate::compiled::{cursor_label, CompiledTree, LEAF_BIT};
 use crate::error::TreeError;
 use crate::tree::{DecisionTree, Node};
 
-/// Finite surrogate for an unbounded box side (beyond every physical
-/// HVAC quantity, still well inside f64 range so ulp steps behave).
-const UNBOUNDED_SURROGATE: f64 = 1e9;
-
-/// Corner probes are the full `2^d` product up to this many dimensions;
-/// beyond it the sweep degrades to per-dimension flips of the two
-/// extreme corners (still covering every face, no longer every vertex).
-const FULL_CORNER_DIMS: usize = 12;
-
-/// Evidence that the sweep ran and what it covered.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct EquivalenceProof {
-    /// Total probe vectors evaluated on the compiled kernel.
-    pub probes: usize,
-    /// Leaf boxes swept.
-    pub leaves: usize,
-    /// Distinct split thresholds probed ±1 ulp.
-    pub thresholds: usize,
-}
-
-/// The next representable f64 above `v`.
-#[must_use]
-fn ulp_up(v: f64) -> f64 {
-    v.next_up()
-}
-
-/// The next representable f64 below `v`.
-#[must_use]
-fn ulp_down(v: f64) -> f64 {
-    v.next_down()
-}
-
-/// Checks one probe on the compiled kernel; returns the typed mismatch
-/// if it disagrees with the reference walk.
-fn check_probe(tree: &DecisionTree, compiled: &CompiledTree, x: &[f64]) -> Result<(), TreeError> {
-    let expected_leaf = tree.apply(x)?;
-    let expected = tree.leaf_class(expected_leaf)?;
-    let got = compiled.predict(x)?;
-    if got != expected || compiled.apply(x)? != expected_leaf {
-        return Err(TreeError::KernelMismatch { expected, got });
+fn mismatch(node: Option<usize>, cursor: u32, invariant: &'static str) -> TreeError {
+    TreeError::KernelMismatch {
+        node,
+        cursor: cursor_label(cursor),
+        invariant,
     }
-    Ok(())
 }
 
-/// Sweeps the verification box grid, proving `compiled` ≡ `tree`.
-///
-/// See the module docs for the probe families. Cost is roughly
-/// `leaves × (2^min(d, 12) + 3·thresholds + 3·d)` probes — well under a
-/// millisecond for policy-scale trees — so callers run it at every
-/// compile, not just in tests.
+/// Proves `compiled` ≡ `tree` by walking both in lock-step (see the
+/// module docs).
 ///
 /// # Errors
 ///
-/// [`TreeError::KernelMismatch`] on the first disagreeing probe;
-/// [`TreeError::BadInputWidth`] if `compiled` was built for a different
-/// feature count.
-pub fn prove_equivalence(
-    tree: &DecisionTree,
-    compiled: &CompiledTree,
-) -> Result<EquivalenceProof, TreeError> {
+/// [`TreeError::KernelMismatch`] naming the first node pair that breaks
+/// an invariant; [`TreeError::BadNodeId`] if `tree` has a dangling
+/// child.
+pub fn prove_equivalence(tree: &DecisionTree, compiled: &CompiledTree) -> Result<(), TreeError> {
     if compiled.n_features() != tree.n_features() {
-        return Err(TreeError::BadInputWidth {
-            expected: tree.n_features(),
-            got: compiled.n_features(),
-        });
+        return Err(mismatch(Some(0), compiled.root, "width"));
     }
-    let dims = tree.n_features();
-    // Distinct (feature, threshold) pairs across the whole tree.
-    let mut thresholds: Vec<(usize, f64)> = tree
-        .nodes
-        .iter()
-        .filter_map(|node| match node {
-            Node::Split {
-                feature, threshold, ..
-            } => Some((*feature, *threshold)),
-            Node::Leaf { .. } => None,
-        })
-        .collect();
-    thresholds.sort_by_key(|t| (t.0, t.1.to_bits()));
-    thresholds.dedup_by(|a, b| a.0 == b.0 && a.1.to_bits() == b.1.to_bits());
-
-    let boxes = tree.leaf_boxes();
-    let leaves = boxes.len();
-    let mut probes = 0usize;
-    let mut probe = |tree: &DecisionTree, x: &[f64]| -> Result<(), TreeError> {
-        probes += 1;
-        check_probe(tree, compiled, x)
-    };
-
-    for (_leaf, input_box) in &boxes {
-        let representative = input_box.representative(-UNBOUNDED_SURROGATE, UNBOUNDED_SURROGATE);
-
-        // Family 1: corners. Each side (lo, hi] contributes the point
-        // one ulp inside the open lower bound and the closed upper
-        // bound itself (finite surrogates for unbounded sides).
-        let corner_lo: Vec<f64> = (0..dims)
-            .map(|f| {
-                let lo = input_box.side(f).lo;
-                if lo.is_finite() {
-                    ulp_up(lo)
-                } else {
-                    -UNBOUNDED_SURROGATE
-                }
-            })
-            .collect();
-        let corner_hi: Vec<f64> = (0..dims)
-            .map(|f| {
-                let hi = input_box.side(f).hi;
-                if hi.is_finite() {
-                    hi
-                } else {
-                    UNBOUNDED_SURROGATE
-                }
-            })
-            .collect();
-        if dims <= FULL_CORNER_DIMS {
-            let mut corner = vec![0.0; dims];
-            for mask in 0u64..(1u64 << dims) {
-                for f in 0..dims {
-                    corner[f] = if mask >> f & 1 == 1 {
-                        corner_hi[f]
-                    } else {
-                        corner_lo[f]
-                    };
-                }
-                probe(tree, &corner)?;
-            }
+    if compiled.n_classes() != tree.n_classes() {
+        return Err(mismatch(Some(0), compiled.root, "classes"));
+    }
+    let mut seen_split = vec![false; compiled.split_count()];
+    let mut seen_leaf = vec![false; compiled.leaf_count()];
+    let mut pending = vec![(0usize, compiled.root)];
+    while let Some((id, cursor)) = pending.pop() {
+        let fail = |invariant| Err(mismatch(Some(id), cursor, invariant));
+        let node = tree.nodes.get(id).ok_or(TreeError::BadNodeId {
+            id,
+            nodes: tree.node_count(),
+        })?;
+        let i = (cursor & !LEAF_BIT) as usize;
+        let is_split = cursor & LEAF_BIT == 0;
+        let seen = if is_split {
+            &mut seen_split[i]
         } else {
-            probe(tree, &corner_lo)?;
-            probe(tree, &corner_hi)?;
-            for f in 0..dims {
-                let mut flipped = corner_lo.clone();
-                flipped[f] = corner_hi[f];
-                probe(tree, &flipped)?;
-                let mut flipped = corner_hi.clone();
-                flipped[f] = corner_lo[f];
-                probe(tree, &flipped)?;
-            }
+            &mut seen_leaf[i]
+        };
+        if std::mem::replace(seen, true) {
+            return fail("shared");
         }
-        probe(tree, &representative)?;
-
-        // Family 2: threshold-adjacent ±1 ulp on every split feature.
-        for &(feature, threshold) in &thresholds {
-            let mut x = representative.clone();
-            for value in [threshold, ulp_up(threshold), ulp_down(threshold)] {
-                x[feature] = value;
-                probe(tree, &x)?;
+        match node {
+            Node::Split {
+                feature,
+                threshold,
+                left,
+                right,
+            } if is_split => {
+                if usize::from(compiled.feature[i]) != *feature {
+                    return fail("feature");
+                }
+                if compiled.threshold[i].to_bits() != threshold.to_bits() {
+                    return fail("threshold");
+                }
+                pending.push((*left, compiled.children[2 * i]));
+                pending.push((*right, compiled.children[2 * i + 1]));
             }
-        }
-
-        // Family 3: hostile NaN/±∞ probes per feature.
-        for f in 0..dims {
-            let mut x = representative.clone();
-            for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-                x[f] = value;
-                probe(tree, &x)?;
+            Node::Leaf { class, .. } if !is_split => {
+                if compiled.leaf_class[i] as usize != *class {
+                    return fail("class");
+                }
+                if compiled.leaf_node[i] as usize != id {
+                    return fail("source node");
+                }
             }
+            _ => return fail("kind"),
         }
     }
-    // All-hostile vectors (every coordinate at once).
-    for value in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
-        let x = vec![value; dims];
-        probes += 1;
-        check_probe(tree, compiled, &x)?;
+    // Kernel node counts fit 31 bits (checked at compile and parse).
+    if let Some(i) = seen_split.iter().position(|seen| !seen) {
+        return Err(mismatch(None, i as u32, "unreachable"));
     }
-
-    Ok(EquivalenceProof {
-        probes,
-        leaves,
-        thresholds: thresholds.len(),
-    })
+    if let Some(j) = seen_leaf.iter().position(|seen| !seen) {
+        return Err(mismatch(None, LEAF_BIT | j as u32, "unreachable"));
+    }
+    Ok(())
 }
 
 #[cfg(test)]
@@ -228,9 +130,12 @@ mod tests {
         for stride in [7, 13, 17] {
             let tree = fitted(180, 3, 5, stride);
             let compiled = CompiledTree::compile(&tree).unwrap();
-            let proof = prove_equivalence(&tree, &compiled).unwrap();
-            assert!(proof.probes > 0);
-            assert_eq!(proof.leaves, tree.leaf_count());
+            prove_equivalence(&tree, &compiled).unwrap();
+            assert_eq!(
+                compiled.split_count() + compiled.leaf_count(),
+                tree.node_count()
+            );
+            assert_eq!(compiled.leaf_count(), tree.leaf_count());
         }
     }
 
@@ -238,8 +143,8 @@ mod tests {
     fn proof_passes_for_single_leaf_tree() {
         let tree = DecisionTree::fit(&[vec![1.0, 2.0]], &[0], 2, &TreeConfig::default()).unwrap();
         let compiled = CompiledTree::compile(&tree).unwrap();
-        let proof = prove_equivalence(&tree, &compiled).unwrap();
-        assert_eq!(proof.leaves, 1);
+        prove_equivalence(&tree, &compiled).unwrap();
+        assert_eq!((compiled.split_count(), compiled.leaf_count()), (0, 1));
     }
 
     #[test]
@@ -247,8 +152,6 @@ mod tests {
         let tree_a = fitted(180, 2, 4, 7);
         let tree_b = fitted(180, 2, 4, 23);
         let compiled_b = CompiledTree::compile(&tree_b).unwrap();
-        // Same shape-class of tree, different splits: some probe must
-        // disagree (the trees classify the grid differently).
         let result = prove_equivalence(&tree_a, &compiled_b);
         assert!(
             matches!(result, Err(TreeError::KernelMismatch { .. })),
@@ -257,11 +160,21 @@ mod tests {
     }
 
     #[test]
-    fn ulp_steps_are_exact_inverses() {
-        for v in [-1e9, -1.5, -f64::MIN_POSITIVE, 0.0, 2.5, 1e9] {
-            assert!(ulp_up(v) > v);
-            assert!(ulp_down(v) < v);
-            assert_eq!(ulp_down(ulp_up(v)), v);
-        }
+    fn mismatch_names_the_pair_and_the_invariant() {
+        let tree = fitted(120, 2, 3, 13);
+        let other = DecisionTree::fit(&[vec![0.0, 0.0]], &[0], 3, &TreeConfig::default()).unwrap();
+        let err = prove_equivalence(&tree, &CompiledTree::compile(&other).unwrap()).unwrap_err();
+        assert_eq!(
+            err,
+            TreeError::KernelMismatch {
+                node: Some(0),
+                cursor: "L0".to_string(),
+                invariant: "kind",
+            }
+        );
+        assert_eq!(
+            err.to_string(),
+            "compiled kernel breaks the kind invariant at L0 (tree node 0)"
+        );
     }
 }

@@ -122,13 +122,19 @@ pub enum TreeError {
         /// Which limit was exceeded.
         what: &'static str,
     },
-    /// The compiled kernel disagreed with the reference enum walk on an
-    /// equivalence probe — the compiled form is not eligible to serve.
+    /// The lock-step walk of a tree and its compiled kernel found a node
+    /// pair that breaks an equivalence invariant — the compiled form is
+    /// not eligible to serve.
     KernelMismatch {
-        /// Class predicted by the reference `DecisionTree` walk.
-        expected: usize,
-        /// Class predicted by the compiled kernel.
-        got: usize,
+        /// Source-tree node of the pair; `None` when no tree node
+        /// reaches the kernel node (`unreachable`).
+        node: Option<usize>,
+        /// Kernel node in the artifact's notation (`S<i>` / `L<j>`).
+        cursor: String,
+        /// The invariant that failed: `kind`, `feature`, `threshold`,
+        /// `class`, `source node`, `shared`, `unreachable`, `width` or
+        /// `classes`.
+        invariant: &'static str,
     },
 }
 
@@ -198,12 +204,19 @@ impl fmt::Display for TreeError {
             TreeError::TooLargeToCompile { what } => {
                 write!(f, "tree exceeds compiled-layout limit: {what}")
             }
-            TreeError::KernelMismatch { expected, got } => {
+            TreeError::KernelMismatch {
+                node,
+                cursor,
+                invariant,
+            } => {
                 write!(
                     f,
-                    "compiled kernel predicted class {got} where the reference walk \
-                     predicted {expected}"
-                )
+                    "compiled kernel breaks the {invariant} invariant at {cursor}"
+                )?;
+                match node {
+                    Some(node) => write!(f, " (tree node {node})"),
+                    None => write!(f, " (no tree node reaches it)"),
+                }
             }
         }
     }

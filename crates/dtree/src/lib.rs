@@ -48,7 +48,7 @@ pub mod serialize;
 pub mod tree;
 
 pub use compiled::{CompiledTree, LEAF_BIT};
-pub use equivalence::{prove_equivalence, EquivalenceProof};
+pub use equivalence::prove_equivalence;
 pub use error::TreeError;
 pub use interval::{InputBox, Interval};
 pub use tree::{DecisionTree, LeafId, Node, NodeId, TreeConfig};

@@ -1,14 +1,15 @@
 //! Round-trip equivalence: random `Tree` → compile → `CompiledTree`.
 //!
-//! Property sweep over randomly grown trees — depths 1–16, duplicate
-//! thresholds on purpose (a small threshold pool), single-leaf
-//! degenerate trees — each serialized through the `dtree v1` text
-//! format, compiled, and proven equivalent
-//! by the box-grid + ulp-adjacent + hostile-probe sweep. A random-probe
-//! cross-check runs on top of the proof, so a prover bug and a kernel
-//! bug would have to agree to slip through.
+//! Property sweep over randomly grown and CART-fitted trees — depths
+//! 1–16, duplicate thresholds on purpose (a small threshold pool),
+//! single-leaf degenerate trees — each compiled, round-tripped through
+//! the `ctree v1` artifact, and proven equivalent by the lock-step
+//! structural walk. A random-probe cross-check runs on top of the proof,
+//! so a prover bug and a kernel bug would have to agree to slip through.
+//! A corpus of hand-edited artifacts that parse but are not the tree
+//! must each be rejected with the invariant it breaks.
 
-use hvac_dtree::{prove_equivalence, CompiledTree, DecisionTree, TreeError};
+use hvac_dtree::{prove_equivalence, CompiledTree, DecisionTree, TreeConfig, TreeError};
 use proptest::prelude::*;
 
 /// Deterministic splitmix64 — the test's only entropy source.
@@ -29,7 +30,7 @@ impl Rng {
 }
 
 /// Small pool so random trees reuse thresholds across nodes — the
-/// duplicate-threshold case the ±1 ulp probes must disambiguate.
+/// duplicate-threshold case the proof must keep apart by node.
 const THRESHOLD_POOL: [f64; 6] = [-3.5, -0.25, 0.0, 0.5, 1.0, 21.75];
 
 enum Spec {
@@ -126,9 +127,9 @@ proptest! {
         let text = random_tree_text(seed, depth, dims, 7);
         let tree = DecisionTree::from_compact_string(&text).expect("generated tree is valid");
         let compiled = CompiledTree::compile(&tree).expect("compiles");
-        let proof = prove_equivalence(&tree, &compiled).expect("proof holds");
-        prop_assert!(proof.probes > 0);
-        prop_assert_eq!(proof.leaves, tree.leaf_count());
+        prove_equivalence(&tree, &compiled).expect("proof holds");
+        prop_assert_eq!(compiled.leaf_count(), tree.leaf_count());
+        prop_assert_eq!(compiled.split_count() + compiled.leaf_count(), tree.node_count());
 
         // Independent random probing (hostile values included).
         let mut rng = Rng(seed ^ 0xdead_beef);
@@ -144,6 +145,27 @@ proptest! {
         prop_assert_eq!(&compiled, &restored);
         prove_equivalence(&tree, &restored).expect("restored kernel proof holds");
     }
+
+    #[test]
+    fn prop_fitted_trees_and_their_artifacts_always_prove(
+        seed in 0u64..1_000_000,
+        n in 1usize..=300,
+        dims in 1usize..=4,
+        classes in 1usize..=6,
+    ) {
+        let mut rng = Rng(seed);
+        let inputs: Vec<Vec<f64>> = (0..n)
+            .map(|_| (0..dims).map(|_| (rng.next() % 401) as f64 / 20.0 - 10.0).collect())
+            .collect();
+        let labels: Vec<usize> = (0..n).map(|_| rng.below(classes as u64) as usize).collect();
+        let tree = DecisionTree::fit(&inputs, &labels, classes, &TreeConfig::default())
+            .expect("fits");
+        let compiled = CompiledTree::compile(&tree).expect("compiles");
+        prove_equivalence(&tree, &compiled).expect("compiled kernel proves");
+        let restored = CompiledTree::from_compact_string(&compiled.to_compact_string())
+            .expect("artifact parses");
+        prove_equivalence(&tree, &restored).expect("round-tripped kernel proves");
+    }
 }
 
 #[test]
@@ -151,8 +173,8 @@ fn single_leaf_degenerate_tree_is_equivalent() {
     let text = "dtree v1\nfeatures 3\nclasses 9\nnodes 1\nL 4 1\n";
     let tree = DecisionTree::from_compact_string(text).unwrap();
     let compiled = CompiledTree::compile(&tree).unwrap();
-    let proof = prove_equivalence(&tree, &compiled).unwrap();
-    assert_eq!(proof.leaves, 1);
+    prove_equivalence(&tree, &compiled).unwrap();
+    assert_eq!((compiled.split_count(), compiled.leaf_count()), (0, 1));
     assert_eq!(compiled.predict(&[f64::NAN, 0.0, 1e300]).unwrap(), 4);
 }
 
@@ -177,4 +199,102 @@ fn tampered_threshold_fails_the_proof() {
         prove_equivalence(&tree, &tampered),
         Err(TreeError::KernelMismatch { .. })
     ));
+}
+
+/// `x0 <= 0 → class 0`, else `x1 <= 2.5 → class 1 | class 2`.
+const BASE_TREE: &str = "dtree v1\nfeatures 2\nclasses 3\nnodes 5\n\
+    S 0 0.0 1 2\nL 0 1\nS 1 2.5 3 4\nL 1 1\nL 2 1\n";
+
+/// `CompiledTree::compile(BASE_TREE)`, byte for byte.
+const BASE_KERNEL: &str = "ctree v1\nfeatures 2\nclasses 3\nroot S0\nsplits 2\nleaves 3\n\
+    N 0 0.0 L0 S1\nN 1 2.5 L1 L2\nF 0 1\nF 1 3\nF 2 4\n";
+
+fn expect_invariant(tree: &DecisionTree, kernel: &str, cursor: &str, invariant: &str) {
+    let kernel = CompiledTree::from_compact_string(kernel)
+        .unwrap_or_else(|e| panic!("hand-edited kernel must parse ({e}):\n{kernel}"));
+    match prove_equivalence(tree, &kernel) {
+        Err(TreeError::KernelMismatch {
+            cursor: got_cursor,
+            invariant: got,
+            ..
+        }) => assert_eq!(
+            (got_cursor.as_str(), got),
+            (cursor, invariant),
+            "wrong invariant named for:\n{}",
+            kernel.to_compact_string()
+        ),
+        other => panic!("expected a {invariant} mismatch, got {other:?}"),
+    }
+}
+
+#[test]
+fn hand_edited_kernels_that_parse_are_rejected_by_name() {
+    let tree = DecisionTree::from_compact_string(BASE_TREE).unwrap();
+    let compiled = CompiledTree::compile(&tree).unwrap();
+    assert_eq!(compiled.to_compact_string(), BASE_KERNEL);
+    prove_equivalence(&tree, &compiled).unwrap();
+
+    let edit = |from: &str, to: &str| {
+        assert!(
+            BASE_KERNEL.contains(from),
+            "{from:?} not in the base kernel"
+        );
+        BASE_KERNEL.replacen(from, to, 1)
+    };
+    let one_ulp_up = format!("N 1 {:?} L1 L2", 2.5f64.next_up());
+    // An extra split inside a leaf box is
+    // `kernel_with_extra_splits_inside_a_leaf_box_is_rejected` below.
+    let cases = [
+        // Both children of S1 share leaf L2; L1 is left dangling.
+        (edit("L1 L2", "L2 L2"), "L2", "shared"),
+        // An unreachable trailing split and an unreachable trailing leaf.
+        (
+            edit("splits 2", "splits 3").replacen("F 0 1", "N 0 9.0 L0 L1\nF 0 1", 1),
+            "S2",
+            "unreachable",
+        ),
+        (
+            edit("leaves 3", "leaves 4") + "F 1 3\n",
+            "L3",
+            "unreachable",
+        ),
+        (edit("L1 L2", "L2 L1"), "L1", "class"),
+        (edit("N 1 2.5 L1 L2", &one_ulp_up), "S1", "threshold"),
+        (edit("N 1 2.5", "N 0 2.5"), "S1", "feature"),
+        (edit("F 2 4", "F 0 4"), "L2", "class"),
+        (edit("F 2 4", "F 2 3"), "L2", "source node"),
+        (edit("classes 3", "classes 4"), "S0", "classes"),
+        (edit("features 2", "features 3"), "S0", "width"),
+    ];
+    for (kernel, cursor, invariant) in &cases {
+        expect_invariant(&tree, kernel, cursor, invariant);
+    }
+}
+
+/// A kernel with extra splits inside a leaf box of the tree `x0 <= 0
+/// → class 0 | class 1` agrees with the tree on every leaf-box corner,
+/// every ±1-ulp point around the tree's threshold and every NaN/±∞
+/// probe, yet answers class 0 at x0 = 5.5. The structural walk must
+/// reject it however few points tell the two apart.
+#[test]
+fn kernel_with_extra_splits_inside_a_leaf_box_is_rejected() {
+    let tree = DecisionTree::from_compact_string(
+        "dtree v1\nfeatures 1\nclasses 2\nnodes 3\nS 0 0.0 1 2\nL 0 1\nL 1 1\n",
+    )
+    .unwrap();
+    let kernel = CompiledTree::from_compact_string(
+        "ctree v1\nfeatures 1\nclasses 2\nroot S0\nsplits 3\nleaves 4\n\
+         N 0 0.0 L0 S1\nN 0 5.0 L1 S2\nN 0 6.0 L2 L3\nF 0 1\nF 1 2\nF 0 2\nF 1 2\n",
+    )
+    .unwrap();
+    assert_eq!(tree.predict(&[5.5]).unwrap(), 1);
+    assert_eq!(kernel.predict(&[5.5]).unwrap(), 0);
+    assert_eq!(
+        prove_equivalence(&tree, &kernel),
+        Err(TreeError::KernelMismatch {
+            node: Some(2),
+            cursor: "S1".to_string(),
+            invariant: "kind",
+        })
+    );
 }
