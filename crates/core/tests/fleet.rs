@@ -301,6 +301,63 @@ fn single_tenant_fleet_accepts_unnamed_decides() {
 }
 
 #[test]
+fn deeply_nested_decide_body_is_a_422_not_a_stack_overflow() {
+    // 16 000 nested arrays fit under a one-tenant fleet's body cap and
+    // overflowed a worker's stack when parser depth was unbounded,
+    // which aborts the whole process.
+    let fleet = Fleet::new(FleetOptions::default());
+    fleet.add_tenant("solo", toy_policy(20.0), None).unwrap();
+    let server = serve_fleet(fleet, "127.0.0.1:0").expect("bind");
+    let nested = "[".repeat(16_000);
+    assert!(nested.len() <= MAX_DECIDE_BODY_BYTES);
+    let (status, text) = blocking_request(server.addr(), "POST", "/decide", &nested).unwrap();
+    assert_eq!(status, 422, "{text}");
+    assert!(text.contains("nesting too deep"), "{text}");
+    let (status, text) = blocking_request(
+        server.addr(),
+        "POST",
+        "/decide",
+        r#"{"zone_temperature":15}"#,
+    )
+    .unwrap();
+    assert_eq!(status, 200, "{text}");
+    server.shutdown();
+}
+
+#[test]
+fn tick_with_a_fleet_sized_string_is_rejected_well_inside_the_read_timeout() {
+    use veri_hvac::fleet::{serve_fleet_with_reload, TenantSpec, MAX_FLEET_BODY_BYTES};
+    use veri_hvac::serve::DECIDE_TIMEOUT;
+
+    let fleet = Fleet::new(FleetOptions::default());
+    fleet.add_tenant("solo", toy_policy(20.0), None).unwrap();
+    let source: Arc<veri_hvac::fleet::ReloadSource> = Arc::new(|| {
+        Ok(vec![TenantSpec {
+            id: "solo".to_string(),
+            policy: toy_policy(20.0),
+            certificate_id: None,
+        }])
+    });
+    let server = serve_fleet_with_reload(fleet, "127.0.0.1:0", Some(source)).expect("bind");
+    // A tenant id as long as the largest body a reloadable fleet reads.
+    let prefix = r#"{"requests":[{"tenant":""#;
+    let suffix = r#"","observation":{"zone_temperature":18.0}}]}"#;
+    let tenant = "x".repeat(MAX_FLEET_BODY_BYTES - prefix.len() - suffix.len());
+    let body = format!("{prefix}{tenant}{suffix}");
+    assert_eq!(body.len(), MAX_FLEET_BODY_BYTES);
+    let started = std::time::Instant::now();
+    let (status, text) = blocking_request(server.addr(), "POST", "/tick", &body).unwrap();
+    let elapsed = started.elapsed();
+    assert!((400..500).contains(&status), "{status}: {text}");
+    assert!(
+        elapsed < DECIDE_TIMEOUT / 20,
+        "a {} KiB /tick took {elapsed:?}",
+        body.len() / 1024
+    );
+    server.shutdown();
+}
+
+#[test]
 fn one_tenants_faulted_stream_never_degrades_another() {
     let fleet = Fleet::new(FleetOptions::default());
     fleet.add_tenant("noisy", toy_policy(20.0), None).unwrap();

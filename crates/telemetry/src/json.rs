@@ -1,10 +1,20 @@
 //! Hand-rolled JSON writing and parsing.
 //!
-//! The build environment is offline, so the JSONL sink cannot lean on
-//! `serde`. Events are flat objects with string/number fields — a few
-//! dozen lines of escaping cover the writer — and the parser exists so
-//! tests (and downstream consumers of telemetry files) can validate
-//! every emitted line without external crates.
+//! The build environment is offline, so nothing here leans on `serde`.
+//! The writer covers flat telemetry events and records: a few dozen
+//! lines of escaping. The parser reads every serve request body
+//! (`/decide`, `/tick`), every audit-chain line the auditor and
+//! `AuditChain::recover` check, and every certificate, report and
+//! manifest, so untrusted input reaches it. Its contract:
+//!
+//! - **Linear in input length.** Each byte is looked at a bounded number
+//!   of times; string contents are copied run by run, up to the next
+//!   `"` or `\`, never re-validated from the current position onward.
+//! - **Bounded depth.** Arrays and objects nest at most 128 levels, so
+//!   a hostile `[[[[…` body is a typed error instead of a stack overflow
+//!   on a server worker's thread.
+//! - **Typed errors.** Every malformed document is a [`JsonError`]
+//!   naming what went wrong and its byte offset; nothing panics.
 
 use std::fmt::Write as _;
 
@@ -244,8 +254,10 @@ impl std::error::Error for JsonError {}
 /// ```
 pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     let mut p = Parser {
+        text: input,
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let value = p.value()?;
@@ -256,9 +268,17 @@ pub fn parse(input: &str) -> Result<JsonValue, JsonError> {
     Ok(value)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. The deepest document
+/// the workspace writes nests a few levels; the limit keeps the
+/// recursive descent far inside a 2 MiB thread stack.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -299,8 +319,8 @@ impl<'a> Parser<'a> {
 
     fn value(&mut self) -> Result<JsonValue, JsonError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::String(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -308,6 +328,20 @@ impl<'a> Parser<'a> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a value")),
         }
+    }
+
+    /// Parses one array or object with `parse_container`, one level deeper.
+    fn nested(
+        &mut self,
+        parse_container: fn(&mut Self) -> Result<JsonValue, JsonError>,
+    ) -> Result<JsonValue, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err("nesting too deep"));
+        }
+        self.depth += 1;
+        let value = parse_container(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, JsonError> {
@@ -365,52 +399,61 @@ impl<'a> Parser<'a> {
         self.eat(b'"', "expected '\"'")?;
         let mut out = String::new();
         loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    match self.peek() {
-                        Some(b'"') => out.push('"'),
-                        Some(b'\\') => out.push('\\'),
-                        Some(b'/') => out.push('/'),
-                        Some(b'b') => out.push('\u{0008}'),
-                        Some(b'f') => out.push('\u{000c}'),
-                        Some(b'n') => out.push('\n'),
-                        Some(b'r') => out.push('\r'),
-                        Some(b't') => out.push('\t'),
-                        Some(b'u') => {
-                            self.pos += 1;
-                            let hex = self
-                                .bytes
-                                .get(self.pos..self.pos + 4)
-                                .and_then(|h| std::str::from_utf8(h).ok())
-                                .ok_or_else(|| self.err("truncated \\u escape"))?;
-                            let code = u32::from_str_radix(hex, 16)
-                                .map_err(|_| self.err("invalid \\u escape"))?;
-                            // Telemetry never emits surrogate pairs;
-                            // lone surrogates decode to the replacement
-                            // character rather than failing the line.
-                            out.push(char::from_u32(code).unwrap_or('\u{fffd}'));
-                            self.pos += 3; // +1 more below
-                        }
-                        _ => return Err(self.err("invalid escape")),
-                    }
-                    self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one full UTF-8 character.
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid UTF-8"))?;
-                    let c = s.chars().next().expect("nonempty by peek");
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
+            // Copy everything up to the next `"` or `\` as one slice.
+            // Both are ASCII, so they always sit on a char boundary of
+            // the `&str` input, and the slice needs no UTF-8 check.
+            let Some(run) = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+            else {
+                self.pos = self.bytes.len();
+                return Err(self.err("unterminated string"));
+            };
+            out.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run;
+            if self.bytes[self.pos] == b'"' {
+                self.pos += 1;
+                return Ok(out);
+            }
+            self.pos += 1;
+            let c = match self.peek() {
+                Some(b'"') => '"',
+                Some(b'\\') => '\\',
+                Some(b'/') => '/',
+                Some(b'b') => '\u{0008}',
+                Some(b'f') => '\u{000c}',
+                Some(b'n') => '\n',
+                Some(b'r') => '\r',
+                Some(b't') => '\t',
+                Some(b'u') => self.unicode_escape()?,
+                _ => return Err(self.err("invalid escape")),
+            };
+            out.push(c);
+            self.pos += 1;
+        }
+    }
+
+    /// Decodes the `\u` escape whose `u` is at `pos`, leaving `pos` on
+    /// its last hex digit. A high surrogate directly followed by a `\u`
+    /// low surrogate decodes as one pair; any other surrogate decodes to
+    /// the replacement character rather than failing the document.
+    fn unicode_escape(&mut self) -> Result<char, JsonError> {
+        self.pos += 1;
+        let digits = self
+            .bytes
+            .get(self.pos..self.pos + 4)
+            .ok_or_else(|| self.err("truncated \\u escape"))?;
+        let code = hex4(digits).ok_or_else(|| self.err("invalid \\u escape"))?;
+        self.pos += 3;
+        if (0xd800..0xdc00).contains(&code) && self.bytes[self.pos + 1..].starts_with(b"\\u") {
+            let low = self.bytes.get(self.pos + 3..self.pos + 7).and_then(hex4);
+            if let Some(low @ 0xdc00..=0xdfff) = low {
+                self.pos += 6;
+                let code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+                return Ok(char::from_u32(code).expect("a surrogate pair is a scalar value"));
             }
         }
+        Ok(char::from_u32(code).unwrap_or('\u{fffd}'))
     }
 
     fn number(&mut self) -> Result<JsonValue, JsonError> {
@@ -430,6 +473,14 @@ impl<'a> Parser<'a> {
             .map(JsonValue::Number)
             .map_err(|_| self.err("invalid number"))
     }
+}
+
+/// The value of exactly four hex digits (no sign, unlike
+/// `u32::from_str_radix`).
+fn hex4(digits: &[u8]) -> Option<u32> {
+    digits
+        .iter()
+        .try_fold(0, |acc, &b| Some(acc << 4 | char::from(b).to_digit(16)?))
 }
 
 #[cfg(test)]
@@ -504,14 +555,72 @@ mod tests {
 
     #[test]
     fn rejects_malformed_documents() {
-        for bad in ["", "{", "{\"a\":}", "[1,]", "tru", "\"open", "{}x", "nan"] {
+        let too_deep = "[".repeat(100_000);
+        for bad in [
+            "",
+            "{",
+            "{\"a\":}",
+            "[1,]",
+            "tru",
+            "\"open",
+            "{}x",
+            "nan",
+            &too_deep,
+            r#""\u+041""#,
+            r#""\u00g0""#,
+            r#""\u00""#,
+        ] {
             assert!(parse(bad).is_err(), "accepted {bad:?}");
         }
     }
 
     #[test]
+    fn nesting_is_bounded_at_max_depth() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let err = parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert_eq!(err.message, "nesting too deep");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert_eq!(parse(&objects).unwrap_err().message, "nesting too deep");
+        // Depth is nesting, not the count of containers: siblings reset it.
+        let wide = format!("[{}]", vec![nest(MAX_DEPTH - 1); 3].join(","));
+        assert!(parse(&wide).is_ok());
+    }
+
+    #[test]
     fn unicode_escapes_decode() {
-        let v = parse(r#""°C ∆""#).unwrap();
-        assert_eq!(v.as_str(), Some("°C ∆"));
+        let v = parse(r#""\u00b0C \u2206 \ud83d\ude00 \u00B0""#).unwrap();
+        assert_eq!(v.as_str(), Some("°C ∆ \u{1f600} °"));
+        // Lone surrogates, and a high one followed by a non-surrogate
+        // escape, decode to the replacement character.
+        let v = parse(r#""\ud83d \ude00 \ud83d\u0041 \ud83d""#).unwrap();
+        assert_eq!(v.as_str(), Some("\u{fffd} \u{fffd} \u{fffd}A \u{fffd}"));
+    }
+
+    #[test]
+    fn long_strings_parse_in_linear_time() {
+        // One string field the size of the largest body a fleet accepts.
+        let field = "x".repeat(256 * 1024);
+        let doc = format!(r#"{{"note":"{field}","t":"°\"{field}"}}"#);
+        let started = std::time::Instant::now();
+        let v = parse(&doc).unwrap();
+        let elapsed = started.elapsed();
+        assert_eq!(
+            v.get("note").and_then(JsonValue::as_str),
+            Some(field.as_str())
+        );
+        assert_eq!(
+            v.get("t").and_then(JsonValue::as_str),
+            Some(format!("°\"{field}").as_str())
+        );
+        assert!(
+            elapsed < std::time::Duration::from_millis(100),
+            "512 KiB of string fields took {elapsed:?}"
+        );
     }
 }
