@@ -18,7 +18,6 @@
 //! | records reordered           | `chain_links`                |
 //! | truncation after checkpoint | `seal`                       |
 //! | wrong policy / certificate  | `certificate` / `policy`     |
-//! | swapped/tampered compiled kernel | `compiled`              |
 //! | crash-torn final record     | `lines` (class `torn_tail`)  |
 //! | forged recovery record      | `recovery`                   |
 //!
@@ -30,7 +29,6 @@
 //! `AuditChain::recover`) is safe there and unsafe everywhere else.
 
 use hvac_control::DtPolicy;
-use hvac_dtree::{prove_equivalence, CompiledTree};
 use hvac_env::Observation;
 use hvac_env::Policy;
 use hvac_telemetry::json::{parse, ObjectWriter};
@@ -70,7 +68,7 @@ impl Default for AuditOptions {
 pub struct AuditCheck {
     /// Stable check name (`lines`, `record_hashes`, `chain_links`,
     /// `genesis`, `checkpoints`, `recovery`, `seal`, `certificate`,
-    /// `policy`, `compiled`, `replay`).
+    /// `policy`, `replay`).
     pub name: &'static str,
     /// Whether the check passed.
     pub passed: bool,
@@ -105,6 +103,11 @@ pub struct AuditReport {
     pub policy_hash: String,
     /// Certificate id the genesis record claims (may be empty).
     pub certificate_id: String,
+    /// The supplied certificate's verdict: `Some(true)` for
+    /// `VERIFIED`, `Some(false)` for `NOT VERIFIED`, `None` when no
+    /// certificate was supplied. Reported, never gated on: the
+    /// `certificate` check passes on binding alone.
+    pub verified: Option<bool>,
 }
 
 impl AuditReport {
@@ -154,6 +157,14 @@ impl AuditReport {
         o.bool_field("sealed", self.sealed);
         o.str_field("policy_hash", &self.policy_hash);
         o.str_field("certificate_id", &self.certificate_id);
+        o.str_field(
+            "verdict",
+            match self.verified {
+                Some(true) => "VERIFIED",
+                Some(false) => "NOT VERIFIED",
+                None => "none",
+            },
+        );
         let checks: Vec<String> = self
             .checks
             .iter()
@@ -203,7 +214,6 @@ pub struct Auditor<'a> {
     options: AuditOptions,
     policy: Option<&'a DtPolicy>,
     certificate: Option<&'a Certificate>,
-    compiled_artifact: Option<&'a str>,
 }
 
 impl<'a> Auditor<'a> {
@@ -214,7 +224,6 @@ impl<'a> Auditor<'a> {
             options: AuditOptions::default(),
             policy: None,
             certificate: None,
-            compiled_artifact: None,
         }
     }
 
@@ -234,21 +243,12 @@ impl<'a> Auditor<'a> {
     }
 
     /// Supplies the verification certificate, enabling the
-    /// `certificate` binding checks.
+    /// `certificate` binding checks. The certificate's verdict is
+    /// reported in the check's detail and [`AuditReport::verified`];
+    /// a `NOT VERIFIED` certificate that binds still passes.
     #[must_use]
     pub fn with_certificate(mut self, certificate: &'a Certificate) -> Self {
         self.certificate = Some(certificate);
-        self
-    }
-
-    /// Supplies the compiled flat-kernel artifact (`ctree v1` text),
-    /// enabling the `compiled` binding check: the artifact must hash to
-    /// the certificate's `compiled_hash`, parse, and — when the policy
-    /// is also supplied — re-prove equivalent, node for node, to the tree
-    /// it claims to compile.
-    #[must_use]
-    pub fn with_compiled_artifact(mut self, artifact: &'a str) -> Self {
-        self.compiled_artifact = Some(artifact);
         self
     }
 
@@ -515,7 +515,8 @@ impl<'a> Auditor<'a> {
         });
 
         // 8. certificate: the id commits to the canonical bytes, and
-        // both ends of the binding (genesis, policy) agree.
+        // both ends of the binding (genesis, policy) agree. The verdict
+        // rides in the detail; binding alone decides the check.
         if let Some(cert) = self.certificate {
             let recomputed = sha256_hex(cert.canonical_string().as_bytes());
             let detail = if recomputed != cert.certificate_id {
@@ -535,7 +536,19 @@ impl<'a> Auditor<'a> {
                     cert.policy_hash, policy_hash
                 ))
             } else {
-                Ok("certificate id and policy binding verified".to_string())
+                let c1 = &cert.report.criterion_1;
+                let verdict = if cert.verified() {
+                    "VERIFIED".to_string()
+                } else {
+                    format!(
+                        "NOT VERIFIED (criterion #1 estimate {:.4} not above threshold {})",
+                        c1.probability(),
+                        c1.threshold
+                    )
+                };
+                Ok(format!(
+                    "certificate id and policy binding verified; verdict {verdict}"
+                ))
             };
             checks.push(AuditCheck {
                 name: "certificate",
@@ -566,68 +579,7 @@ impl<'a> Auditor<'a> {
             });
         }
 
-        // 10. compiled: the fast-path artifact is the one the
-        // certificate committed to, and it still computes the same
-        // function as the verified tree. Hash binding catches a swapped
-        // or edited file; the re-proof catches a certificate that binds
-        // a kernel which is not the tree (a hand-edited artifact whose
-        // hash was committed): even a *bound* artifact must re-prove
-        // equivalent, node for node, when the policy is present.
-        if let Some(artifact) = self.compiled_artifact {
-            let actual = sha256_hex(artifact.as_bytes());
-            let mut detail: Result<String, String> = Ok(format!(
-                "compiled artifact hashes to {actual:.12}… and parses"
-            ));
-            if let Some(cert) = self.certificate {
-                if cert.compiled_hash.is_empty() {
-                    detail = Err(
-                        "a compiled artifact was supplied but the certificate carries no \
-                         compiled_hash — nothing binds this kernel to the verified policy"
-                            .to_string(),
-                    );
-                } else if cert.compiled_hash != actual {
-                    detail = Err(format!(
-                        "compiled artifact hashes to {actual:.12}… but the certificate \
-                         committed {:.12}… (artifact swapped or tampered)",
-                        cert.compiled_hash
-                    ));
-                }
-            }
-            if detail.is_ok() {
-                match CompiledTree::from_compact_string(artifact) {
-                    Err(e) => detail = Err(format!("compiled artifact does not parse: {e}")),
-                    Ok(kernel) => {
-                        if let Some(policy) = self.policy {
-                            match prove_equivalence(policy.tree(), &kernel) {
-                                Ok(()) => {
-                                    detail = Ok(format!(
-                                        "artifact hash bound; equivalence re-proven node for \
-                                         node over {} splits and {} leaves",
-                                        kernel.split_count(),
-                                        kernel.leaf_count()
-                                    ));
-                                }
-                                Err(e) => {
-                                    detail = Err(format!(
-                                        "compiled kernel is NOT equivalent to the policy \
-                                         tree: {e}"
-                                    ));
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-            checks.push(AuditCheck {
-                name: "compiled",
-                passed: detail.is_ok(),
-                detail: match detail {
-                    Ok(d) | Err(d) => d,
-                },
-            });
-        }
-
-        // 11. replay: a stride sample of guard-normal decisions, re-run
+        // 10. replay: a stride sample of guard-normal decisions, re-run
         // through the policy, must reproduce bit-identical actions.
         // (Degraded-rung actions depend on guard state accumulated
         // across the whole session, so only `normal` rows are
@@ -699,6 +651,7 @@ impl<'a> Auditor<'a> {
             sealed,
             policy_hash,
             certificate_id,
+            verified: self.certificate.map(Certificate::verified),
         }
     }
 }

@@ -48,13 +48,6 @@ pub fn policy_hash(policy: &hvac_control::DtPolicy) -> String {
     sha256_hex(policy.to_compact_string().as_bytes())
 }
 
-/// SHA-256 (hex) of a compiled flat-kernel artifact (`ctree v1` text) —
-/// the hash a certificate's `compiled_hash` field commits to, binding
-/// chain → certificate → compiled artifact.
-pub fn compiled_hash(artifact: &str) -> String {
-    sha256_hex(artifact.as_bytes())
-}
-
 /// Computes a certificate's id (SHA-256 of its canonical bytes) and
 /// returns the certificate bound to it.
 pub fn bind_certificate(certificate: Certificate) -> Certificate {

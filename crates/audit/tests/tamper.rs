@@ -335,162 +335,142 @@ fn policy_and_certificate_mismatches_are_detected() {
 }
 
 #[test]
-fn tampered_compiled_artifact_fails_the_compiled_check() {
+fn not_verified_certificate_binds_and_the_report_carries_its_verdict() {
     let policy = toy_policy();
-    let artifact = policy
-        .compiled_artifact()
-        .expect("the toy tree compiles and proves");
-    let certificate = bind_certificate(
-        unbound_certificate(&policy).with_compiled_hash(hvac_audit::compiled_hash(&artifact)),
-    );
+    // Criterion #1 at 289/500 = 57.8% against a 0.9 threshold.
+    let mut unbound = unbound_certificate(&policy);
+    unbound.report.criterion_1 = SafeProbability {
+        safe: 289,
+        total: 500,
+        threshold: 0.9,
+    };
+    let refuted = bind_certificate(unbound);
+    assert!(!refuted.verified());
     let text = record_session(
-        "compiled.jsonl",
+        "not-verified.jsonl",
         &policy,
-        &certificate.certificate_id,
+        &refuted.certificate_id,
         30,
         16,
     );
 
-    // The genuine artifact audits green, with the compiled check on
-    // record (hash bound AND equivalence re-proven against the tree).
-    let report = Auditor::new(&text)
-        .with_policy(&policy)
-        .with_certificate(&certificate)
-        .with_compiled_artifact(&artifact)
-        .run();
+    // Binding, not verdict, decides the check: the chain audits green,
+    // and the verdict is reported alongside.
+    let report = audit(&text, &policy, &refuted);
     assert!(report.passed(), "{report}");
-    let compiled = report
+    assert_eq!(report.verified, Some(false));
+    let check = report
         .checks
         .iter()
-        .find(|c| c.name == "compiled")
-        .expect("compiled check must run when an artifact is supplied");
+        .find(|c| c.name == "certificate")
+        .expect("certificate check runs when a certificate is supplied");
     assert!(
-        compiled.detail.contains("re-proven"),
-        "clean audit must re-prove equivalence: {}",
-        compiled.detail
-    );
-
-    // Edit one threshold digit in the artifact: the hash binding must
-    // object before the kernel ever serves.
-    let digit = artifact
-        .lines()
-        .find(|l| l.starts_with("N "))
-        .expect("toy tree has a split line");
-    let tampered = artifact.replacen(digit, &format!("{digit} "), 1);
-    assert_ne!(tampered, artifact);
-    let report = Auditor::new(&text)
-        .with_policy(&policy)
-        .with_certificate(&certificate)
-        .with_compiled_artifact(&tampered)
-        .run();
-    assert_eq!(failed_names(&report), vec!["compiled"], "{report}");
-    assert!(
-        report.first_failure().unwrap().detail.contains("committed"),
-        "failure must name the hash mismatch: {report}"
-    );
-
-    // A certificate with no compiled binding cannot vouch for any
-    // artifact: supplying one is itself a failure, not a silent skip.
-    let unbound = toy_certificate(&policy);
-    let text2 = record_session("compiled2.jsonl", &policy, &unbound.certificate_id, 30, 16);
-    let report = Auditor::new(&text2)
-        .with_policy(&policy)
-        .with_certificate(&unbound)
-        .with_compiled_artifact(&artifact)
-        .run();
-    assert_eq!(failed_names(&report), vec!["compiled"], "{report}");
-
-    // A *bound* artifact for the wrong tree: the hash agrees with the
-    // (forged) certificate, so only the equivalence re-proof can catch
-    // it — and must.
-    let mut inputs = Vec::new();
-    let mut labels = Vec::new();
-    let space = ActionSpace::new();
-    let low = space.index_of(SetpointAction::new(18, 26).unwrap());
-    for i in 0..20 {
-        let mut row = vec![0.0; POLICY_INPUT_DIM];
-        row[feature::ZONE_TEMPERATURE] = 14.0 + f64::from(i) * 0.5;
-        inputs.push(row);
-        labels.push(if i < 10 { low } else { 0 });
-    }
-    let other = DtPolicy::new(
-        DecisionTree::fit(&inputs, &labels, space.len(), &TreeConfig::default()).unwrap(),
-    )
-    .unwrap();
-    let foreign = other.compiled_artifact().expect("other tree compiles");
-    let forged = bind_certificate(
-        unbound_certificate(&policy).with_compiled_hash(hvac_audit::compiled_hash(&foreign)),
-    );
-    let text3 = record_session("compiled3.jsonl", &policy, &forged.certificate_id, 30, 16);
-    let report = Auditor::new(&text3)
-        .with_policy(&policy)
-        .with_certificate(&forged)
-        .with_compiled_artifact(&foreign)
-        .run();
-    assert!(
-        failed_names(&report).contains(&"compiled"),
-        "a hash-bound but non-equivalent kernel must fail the re-proof: {report}"
+        check.detail.contains("NOT VERIFIED")
+            && check.detail.contains("0.5780")
+            && check.detail.contains("threshold 0.9"),
+        "{}",
+        check.detail
     );
     assert!(
         report
-            .checks
-            .iter()
-            .find(|c| c.name == "compiled")
-            .unwrap()
-            .detail
-            .contains("NOT equivalent"),
-        "{report}"
-    );
-}
-
-/// A kernel that is *not* the tree but agrees with it on every point a
-/// sampled check would pick: the tree is `x0 <= 0 → class 0 | class 1`,
-/// and the kernel adds splits inside the right leaf's box so that
-/// x0 in (5, 6] answers class 0. A certificate that binds this kernel's
-/// hash must still fail the `compiled` check.
-#[test]
-fn bound_kernel_with_extra_splits_in_a_leaf_box_fails_the_compiled_check() {
-    let classes = ActionSpace::new().len();
-    let policy = DtPolicy::new(
-        DecisionTree::from_compact_string(&format!(
-            "dtree v1\nfeatures {POLICY_INPUT_DIM}\nclasses {classes}\nnodes 3\n\
-             S 0 0.0 1 2\nL 0 1\nL 1 1\n"
-        ))
-        .unwrap(),
-    )
-    .unwrap();
-    let kernel = format!(
-        "ctree v1\nfeatures {POLICY_INPUT_DIM}\nclasses {classes}\nroot S0\nsplits 3\n\
-         leaves 4\nN 0 0.0 L0 S1\nN 0 5.0 L1 S2\nN 0 6.0 L2 L3\nF 0 1\nF 1 2\nF 0 2\nF 1 2\n"
-    );
-    let parsed = hvac_dtree::CompiledTree::from_compact_string(&kernel).unwrap();
-    let mut x = [0.0; POLICY_INPUT_DIM];
-    x[0] = 5.5;
-    assert_ne!(
-        parsed.predict(&x).unwrap(),
-        policy.tree().predict(&x).unwrap()
+            .to_json_string()
+            .contains(r#""verdict":"NOT VERIFIED""#),
+        "{}",
+        report.to_json_string()
     );
 
-    let certificate = bind_certificate(
-        unbound_certificate(&policy).with_compiled_hash(hvac_audit::compiled_hash(&kernel)),
-    );
+    // The same chain under a VERIFIED certificate says so.
+    let certificate = toy_certificate(&policy);
     let text = record_session(
-        "compiled-extra-splits.jsonl",
+        "verified.jsonl",
         &policy,
         &certificate.certificate_id,
         30,
         16,
     );
-    let report = Auditor::new(&text)
-        .with_policy(&policy)
-        .with_certificate(&certificate)
-        .with_compiled_artifact(&kernel)
-        .run();
-    assert_eq!(failed_names(&report), vec!["compiled"], "{report}");
-    let detail = &report.first_failure().unwrap().detail;
+    let report = audit(&text, &policy, &certificate);
+    assert!(report.passed(), "{report}");
+    assert_eq!(report.verified, Some(true));
+    assert!(report.to_json_string().contains(r#""verdict":"VERIFIED""#));
+
+    // Without a certificate there is no verdict to report.
+    let report = Auditor::new(&text).with_policy(&policy).run();
+    assert_eq!(report.verified, None);
+    assert!(report.to_json_string().contains(r#""verdict":"none""#));
+}
+
+/// Certificates issued while a compiled kernel was bound carry a
+/// `compiled_hash` field in their canonical bytes. They must still
+/// parse, recompute their id, and vouch for chains stamped with it.
+#[test]
+fn legacy_certificate_with_compiled_hash_parses_and_still_binds() {
+    let policy = toy_policy();
+    let canonical = unbound_certificate(&policy).canonical_string();
+    assert!(!canonical.contains("compiled_hash"));
+    let legacy_canonical = format!(
+        "{},\"compiled_hash\":\"{}\"}}",
+        &canonical[..canonical.len() - 1],
+        "ef".repeat(32)
+    );
+    let id = hvac_audit::sha256_hex(legacy_canonical.as_bytes());
+    let json = format!(
+        "{},\"certificate_id\":\"{id}\"}}",
+        &legacy_canonical[..legacy_canonical.len() - 1]
+    );
+    let legacy = Certificate::from_json_string(&json).unwrap();
+    assert_eq!(legacy.compiled_hash, "ef".repeat(32));
+    assert_eq!(legacy.certificate_id, id);
+    assert_eq!(legacy.canonical_string(), legacy_canonical);
+    assert!(hvac_audit::certificate_id_is_consistent(&legacy));
+
+    let text = record_session("legacy-cert.jsonl", &policy, &id, 30, 16);
+    let report = audit(&text, &policy, &legacy);
+    assert!(report.passed(), "{report}");
+}
+
+/// A record's hash covers one canonical rendering. A decision line
+/// that repeats a key, carrying a record_hash computed over its own
+/// (non-canonical) bytes, must be rejected as a record, not merely
+/// break its successor's link.
+#[test]
+fn decision_line_with_a_duplicate_key_hashed_over_its_own_bytes_fails() {
+    let policy = toy_policy();
+    let certificate = toy_certificate(&policy);
+    let text = record_session(
+        "duplicate-key.jsonl",
+        &policy,
+        &certificate.certificate_id,
+        30,
+        16,
+    );
+    let line = text
+        .lines()
+        .find(|l| l.contains(r#""kind":"decision""#) && l.contains(r#""guard_state":"normal""#))
+        .expect("session has a normal decision");
+    let json = &line[line.find(' ').unwrap() + 1..];
+    let hash_at = json.find(r#","record_hash":""#).unwrap();
+    let heating_at = json.find(r#""heating":"#).unwrap();
+    // Both keys present: the forged one first, the genuine one after.
+    let body = format!(
+        "{}\"heating\":99,{}}}",
+        &json[..heating_at],
+        &json[heating_at..hash_at]
+    );
+    let forged_hash = hvac_audit::sha256_hex(body.as_bytes());
+    let forged_json = format!(
+        "{},\"record_hash\":\"{forged_hash}\"}}",
+        &body[..body.len() - 1]
+    );
+    let forged_line = format!("{} {forged_json}", forged_json.len());
+    let tampered = text.replacen(line, &forged_line, 1);
+    assert_ne!(tampered, text);
+
+    let report = audit(&tampered, &policy, &certificate);
+    assert!(!report.passed(), "{report}");
+    let failed = failed_names(&report);
     assert!(
-        detail.contains("NOT equivalent") && detail.contains("kind"),
-        "{report}"
+        failed.contains(&"lines") || failed.contains(&"record_hashes"),
+        "the forged line itself must be rejected: {report}"
     );
 }
 

@@ -207,13 +207,13 @@ fn reload_swap_pause(dir: &std::path::Path, reloads: usize) -> ReloadPoint {
         let mut specs = vec![TenantSpec {
             id: "zone-0".to_string(),
             policy: toy_policy(split),
-            certificate_id: None,
+            certificate: None,
         }];
         for i in 1..TENANTS {
             specs.push(TenantSpec {
                 id: format!("zone-{i}"),
                 policy: toy_policy(20.0),
-                certificate_id: None,
+                certificate: None,
             });
         }
         let start = Instant::now();

@@ -8,7 +8,7 @@
 //! (Table 3).
 
 use crate::error::ControlError;
-use hvac_dtree::{prove_equivalence, CompiledTree, DecisionTree};
+use hvac_dtree::DecisionTree;
 use hvac_env::space::feature;
 use hvac_env::{ActionSpace, Observation, Policy, SetpointAction, POLICY_INPUT_DIM};
 
@@ -32,34 +32,19 @@ use hvac_env::{ActionSpace, Observation, Policy, SetpointAction, POLICY_INPUT_DI
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct DtPolicy {
     tree: DecisionTree,
     action_space: ActionSpace,
-    /// Flat branchless kernel, present only when the proof of
-    /// equivalence passed for this exact tree. Invalidated by
-    /// [`DtPolicy::tree_mut`]; rebuilt by [`DtPolicy::recompile`].
-    compiled: Option<CompiledTree>,
-}
-
-/// The compiled kernel is derived data (recomputed deterministically
-/// from the tree), so policy equality is tree + action-space equality —
-/// an edited-then-recompiled policy equals its uncompiled twin.
-impl PartialEq for DtPolicy {
-    fn eq(&self, other: &Self) -> bool {
-        self.tree == other.tree && self.action_space == other.action_space
-    }
 }
 
 impl DtPolicy {
     /// Wraps a fitted tree as a policy.
     ///
-    /// Validates the tree structurally (a malformed tree — cycle,
-    /// dangling child, NaN threshold — is rejected, never served), then
-    /// compiles the flat kernel and proves it equivalent (a lock-step
-    /// structural walk of tree and kernel). If compilation or the proof
-    /// fails the policy still constructs and serves the reference enum
-    /// walk.
+    /// Validates the tree structurally: a malformed tree (cycle,
+    /// dangling child, NaN threshold) is rejected, never served. Every
+    /// decision then runs the hop-bounded, range-checked walk of this
+    /// exact tree, so the served function is the verified one.
     ///
     /// # Errors
     ///
@@ -69,19 +54,6 @@ impl DtPolicy {
     /// the action space, and [`ControlError::BadTree`] for structural
     /// offenses.
     pub fn new(tree: DecisionTree) -> Result<Self, ControlError> {
-        let mut policy = Self::new_uncompiled(tree)?;
-        policy.recompile();
-        Ok(policy)
-    }
-
-    /// [`DtPolicy::new`] without the compiled kernel: every decision
-    /// runs the reference enum walk. Exists so benchmarks and tests can
-    /// A/B the two kernels; production paths should use `new`.
-    ///
-    /// # Errors
-    ///
-    /// Same dimension and structural checks as [`DtPolicy::new`].
-    pub fn new_uncompiled(tree: DecisionTree) -> Result<Self, ControlError> {
         let action_space = ActionSpace::new();
         if tree.n_features() != POLICY_INPUT_DIM {
             return Err(ControlError::FeatureMismatch {
@@ -96,33 +68,7 @@ impl DtPolicy {
             });
         }
         tree.validate_structure().map_err(ControlError::BadTree)?;
-        Ok(Self {
-            tree,
-            action_space,
-            compiled: None,
-        })
-    }
-
-    /// Compiles the flat kernel for the current tree and proves it
-    /// equivalent; the kernel serves only if the proof passes. Returns
-    /// whether a proven kernel is now active (`false`: compilation or
-    /// the proof failed, and the policy serves the enum walk).
-    pub fn recompile(&mut self) -> bool {
-        self.compiled = CompiledTree::compile(&self.tree)
-            .ok()
-            .filter(|compiled| prove_equivalence(&self.tree, compiled).is_ok());
-        self.compiled.is_some()
-    }
-
-    /// The proven compiled kernel, if one is active.
-    pub fn compiled(&self) -> Option<&CompiledTree> {
-        self.compiled.as_ref()
-    }
-
-    /// The serialized compiled artifact (`ctree v1`) whose content hash
-    /// the verification certificate binds, if a proven kernel is active.
-    pub fn compiled_artifact(&self) -> Option<String> {
-        self.compiled.as_ref().map(CompiledTree::to_compact_string)
+        Ok(Self { tree, action_space })
     }
 
     /// Borrow the underlying tree (for verification and inspection).
@@ -131,12 +77,7 @@ impl DtPolicy {
     }
 
     /// Mutable access to the tree (Algorithm 1 edits failed leaves).
-    ///
-    /// Drops the compiled kernel: any edit invalidates the equivalence
-    /// proof, so subsequent decisions run the enum walk until
-    /// [`DtPolicy::recompile`] re-proves a fresh kernel.
     pub fn tree_mut(&mut self) -> &mut DecisionTree {
-        self.compiled = None;
         &mut self.tree
     }
 
@@ -182,57 +123,22 @@ impl DtPolicy {
 
     /// [`Policy::decide`] without `&mut`: the tree descent mutates
     /// nothing, so a shared policy (one registry entry serving many
-    /// tenants) can evaluate concurrently. Runs the proven compiled
-    /// kernel when one is active (bit-identical by proof), else the
-    /// reference enum walk.
+    /// tenants) can evaluate concurrently.
     pub fn decide_shared(&self, obs: &Observation) -> SetpointAction {
-        let x = obs.to_vector();
-        let class = match &self.compiled {
-            Some(kernel) => kernel
-                .predict(&x)
-                .expect("kernel width validated at compile"),
-            None => self
-                .tree
-                .predict(&x)
-                .expect("tree validated at construction"),
-        };
+        let class = self
+            .tree
+            .predict(&obs.to_vector())
+            .expect("tree validated at construction");
         self.action_space
             .action(class)
             .expect("class count validated at construction")
     }
 
     /// Evaluates a batch of observations in one call, appending one
-    /// action per observation to `out` — the fleet-serving extension of
-    /// PR 3's lockstep idiom: concurrent tenants' evaluations coalesce
-    /// into a single pass over the shared tree instead of N interleaved
-    /// descents. With a proven compiled kernel active, the batch runs
-    /// the eight-wide wavefront descent of
-    /// [`hvac_dtree::CompiledTree::predict_batch_into`]; either way the
-    /// result is bit-identical to per-observation
-    /// [`DtPolicy::decide_shared`].
+    /// action per observation to `out`; each is exactly
+    /// [`DtPolicy::decide_shared`] of its observation.
     pub fn decide_batch_into(&self, observations: &[Observation], out: &mut Vec<SetpointAction>) {
-        out.reserve(observations.len());
-        if let Some(kernel) = &self.compiled {
-            let mut rows = Vec::with_capacity(observations.len() * POLICY_INPUT_DIM);
-            for obs in observations {
-                rows.extend_from_slice(&obs.to_vector());
-            }
-            let mut classes = Vec::new();
-            kernel
-                .predict_batch_into(&rows, &mut classes)
-                .expect("kernel width validated at compile");
-            for class in classes {
-                out.push(
-                    self.action_space
-                        .action(class)
-                        .expect("class count validated at construction"),
-                );
-            }
-        } else {
-            for obs in observations {
-                out.push(self.decide_shared(obs));
-            }
-        }
+        out.extend(observations.iter().map(|obs| self.decide_shared(obs)));
     }
 }
 
@@ -359,56 +265,6 @@ mod tests {
         let leaf = p.tree().apply(&o.to_vector()).unwrap();
         p.tree_mut().set_leaf_class(leaf, target).unwrap();
         assert_eq!(p.decide(&o), SetpointAction::new(21, 25).unwrap());
-    }
-
-    #[test]
-    fn construction_proves_and_activates_the_compiled_kernel() {
-        let p = DtPolicy::new(toy_tree()).unwrap();
-        let kernel = p.compiled().expect("proof passes for fitted trees");
-        assert_eq!(kernel.n_features(), POLICY_INPUT_DIM);
-        assert!(p.compiled_artifact().unwrap().starts_with("ctree v1\n"));
-    }
-
-    #[test]
-    fn compiled_and_enum_walk_decide_identically() {
-        let compiled = DtPolicy::new(toy_tree()).unwrap();
-        let reference = DtPolicy::new_uncompiled(toy_tree()).unwrap();
-        assert!(compiled.compiled().is_some());
-        assert!(reference.compiled().is_none());
-        assert_eq!(
-            compiled, reference,
-            "derived kernel must not affect equality"
-        );
-        let observations: Vec<Observation> =
-            (0..60).map(|i| obs(12.0 + f64::from(i) * 0.25)).collect();
-        let (mut fast, mut slow) = (Vec::new(), Vec::new());
-        compiled.decide_batch_into(&observations, &mut fast);
-        reference.decide_batch_into(&observations, &mut slow);
-        assert_eq!(fast, slow);
-        for o in &observations {
-            assert_eq!(compiled.decide_shared(o), reference.decide_shared(o));
-        }
-    }
-
-    #[test]
-    fn tree_mut_invalidates_the_kernel_and_recompile_restores_it() {
-        let mut p = DtPolicy::new(toy_tree()).unwrap();
-        assert!(p.compiled().is_some());
-        let o = obs(15.0);
-        let space = ActionSpace::new();
-        let target = space.index_of(SetpointAction::new(21, 25).unwrap());
-        let leaf = p.tree().apply(&o.to_vector()).unwrap();
-        p.tree_mut().set_leaf_class(leaf, target).unwrap();
-        // A stale kernel would still serve the pre-edit class; the edit
-        // must drop it so the enum walk serves the corrected tree.
-        assert!(p.compiled().is_none());
-        assert_eq!(p.decide_shared(&o), SetpointAction::new(21, 25).unwrap());
-        assert!(p.recompile(), "re-proof passes");
-        assert_eq!(p.decide_shared(&o), SetpointAction::new(21, 25).unwrap());
-        let kernel = p
-            .compiled()
-            .expect("a passing re-proof installs the kernel");
-        assert_eq!(kernel.leaf_count(), p.tree().leaf_count());
     }
 
     #[test]

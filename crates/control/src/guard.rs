@@ -24,14 +24,12 @@
 //! 3 = fail-safe).
 //!
 //! **Observation NaNs are the guard's job.** A decision tree routes NaN
-//! right at every split (`x <= t` is false for NaN) — silently, in both
-//! the enum walk and the compiled kernel, which replicate each other
-//! exactly on hostile inputs. That accidental asymmetry is not a
-//! decision anyone designed, so the contract here is stronger: every
-//! observation the guard hands to the wrapped policy is fully finite
-//! (rejected fields are held, or the ladder resolves the action without
-//! consulting the tree), meaning `Tree::apply` never sees a NaN in
-//! production. The `no_nan_ever_reaches_the_wrapped_tree` test pins
+//! right at every split (`x <= t` is false for NaN) — silently. That
+//! accidental asymmetry is not a decision anyone designed, so the
+//! contract here is stronger: every observation the guard hands to the
+//! wrapped policy is fully finite (rejected fields are held, or the
+//! ladder resolves the action without consulting the tree), meaning
+//! `Tree::apply` never sees a NaN in production. The `no_nan_ever_reaches_the_wrapped_tree` test pins
 //! this down.
 
 use crate::rule_based::RuleBasedController;
@@ -832,7 +830,7 @@ mod tests {
 
     #[test]
     fn no_nan_ever_reaches_the_wrapped_tree() {
-        // The kernels route NaN right at every split by IEEE accident,
+        // The tree walk routes NaN right at every split by IEEE accident,
         // not by design; the *contract* is that observation NaNs are the
         // guard's job. Under a hostile barrage of NaN/∞ in every field,
         // every observation the guard hands to the Policy arm must be

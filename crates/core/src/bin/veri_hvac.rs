@@ -69,7 +69,7 @@ USAGE:
                      [--require-certificate] [--snapshot-every SECS]
                      [--duration SECS]
   veri-hvac audit    --chain FILE [--policy FILE] [--certificate FILE]
-                     [--compiled FILE] [--cache-dir DIR] [--replay N]
+                     [--cache-dir DIR] [--replay N]
                      [--allow-unsealed] [--json] [--recover]
 
 GLOBAL FLAGS:
@@ -126,14 +126,14 @@ are sealed and archived.
 
 `verify` writes certificate.json beside the policy: the verification
 verdict bound (SHA-256) to the exact policy bytes, inputs, and artifact
-hashes. It also compiles the verified tree into a flat serving kernel,
-proves the kernel node for node equal to the tree, writes it
-as policy.ctree, and commits its hash into the certificate
-(compiled_hash). `serve` picks the certificate up automatically (or via
---certificate FILE / the --cache-dir store), reports it on
-GET /version, warns when serving uncertified, and refuses with
---require-certificate. A wrong or edited certificate is always refused.
-Audit chains record every decision and guard transition in a
+hashes. `serve` runs that exact tree: every decision is the
+hop-bounded, range-checked walk of the verified policy. `serve` picks
+the certificate up automatically (or via --certificate FILE / the
+--cache-dir store), reports it on GET /version and GET /tenants
+(`certified`: a certificate binds the policy; `verified`: that
+certificate's verdict), warns when serving uncertified, and refuses
+with --require-certificate. A wrong or edited certificate is always
+refused. Audit chains record every decision and guard transition in a
 tamper-evident hash chain. `--audit-flush` trades append latency for
 durability: `always` (default) fsync-buffers every record, `every-n=K`
 flushes every K appends, `interval-ms=T` flushes once T ms have
@@ -148,13 +148,14 @@ availability, and guard-integrity objectives. `audit`
 re-verifies such a chain offline: every hash, link, and checkpoint
 digest is recomputed, the certificate binding is checked, and sampled
 decisions are re-executed through the policy (--replay N, default 64)
-for bit-identical actions. `--compiled FILE` additionally checks the
-flat serving kernel: the artifact must hash to the certificate's
-compiled_hash and (with --policy) re-prove equivalent to the verified
-tree node for node, so a swapped or tampered policy.ctree fails loudly. `--allow-unsealed` tolerates chains from
-signal-killed serves; `--json` prints the machine-readable report
-(its failure_class field separates a crash's torn_tail from a
-tampered bad_hash). A torn-tail failure names the exact byte offset —
+for bit-identical actions. The certificate check reports the
+certificate's verdict (VERIFIED, or NOT VERIFIED with the criterion #1
+estimate and threshold; the JSON report's verdict field) but passes or
+fails on the binding alone: a chain served under a NOT VERIFIED
+certificate that binds still audits green. `--allow-unsealed`
+tolerates chains from signal-killed serves; `--json` prints the
+machine-readable report (its failure_class field separates a crash's
+torn_tail from a tampered bad_hash). A torn-tail failure names the exact byte offset —
 `audit --chain FILE --recover` truncates exactly those bytes, appends
 a hash-covered recovery record, seals, and re-audits; interior
 corruption is refused, never repaired. Exit is nonzero if any audit
@@ -471,47 +472,21 @@ fn cmd_verify(args: &Args) -> Result<(), String> {
         println!("corrected policy written to {corrected_path}");
     }
 
-    // Compile the (post-correction) tree into its flat serving kernel
-    // and write the artifact beside the policy. `recompile` proves the
-    // kernel node for node equal to the tree before installing it, so a
-    // written `policy.ctree` is *proven*, not just derived.
-    let mut compiled_hash = String::new();
-    policy.recompile();
-    if let Some(kernel) = policy.compiled() {
-        let artifact = kernel.to_compact_string();
-        let compiled_path = artifacts_dir.join("policy.ctree");
-        std::fs::write(&compiled_path, &artifact)
-            .map_err(|e| format!("cannot write {}: {e}", compiled_path.display()))?;
-        compiled_hash = hvac_audit::compiled_hash(&artifact);
-        println!(
-            "compiled kernel proven equivalent ({} splits, {} leaves), written to {}",
-            kernel.split_count(),
-            kernel.leaf_count(),
-            compiled_path.display()
-        );
-    } else {
-        println!("compiled kernel unavailable; policy will serve via the enum walk");
-    }
-
     // Emit the verification certificate: the verdict bound to the
     // exact (post-correction) policy bytes, the verification inputs,
-    // the compiled kernel (when one was proven), and the hashes of the
-    // artifacts it ran against. `serve` and `audit` check this binding
-    // end to end.
+    // and the hashes of the artifacts it ran against. `serve` and
+    // `audit` check this binding end to end.
     let artifact_keys = vec![
         artifact_key_for(&policy_path)?,
         artifact_key_for(&model_path)?,
     ];
-    let certificate = hvac_audit::bind_certificate(
-        Certificate::new(
-            hvac_audit::policy_hash(&policy),
-            report,
-            &config,
-            augmenter.noise_level(),
-            artifact_keys,
-        )
-        .with_compiled_hash(compiled_hash),
-    );
+    let certificate = hvac_audit::bind_certificate(Certificate::new(
+        hvac_audit::policy_hash(&policy),
+        report,
+        &config,
+        augmenter.noise_level(),
+        artifact_keys,
+    ));
     let certificate_path = artifacts_dir.join("certificate.json");
     std::fs::write(&certificate_path, certificate.to_json_string())
         .map_err(|e| format!("cannot write {}: {e}", certificate_path.display()))?;
@@ -1044,7 +1019,7 @@ fn manifest_specs(manifest: &str, require_certificate: bool) -> Result<Vec<Tenan
         .into_iter()
         .map(|t| TenantSpec {
             id: t.id,
-            certificate_id: t.certificate.as_ref().map(|c| c.certificate_id.clone()),
+            certificate: t.certificate,
             policy: t.policy,
         })
         .collect())
@@ -1170,11 +1145,7 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
 
     let fleet = veri_hvac::Fleet::new(options);
     for tenant in tenants {
-        let certificate_id = tenant
-            .certificate
-            .as_ref()
-            .map(|c| c.certificate_id.clone());
-        fleet.add_tenant(&tenant.id, tenant.policy, certificate_id)?;
+        fleet.add_tenant(&tenant.id, tenant.policy, tenant.certificate)?;
     }
     if audit_dir.is_some() {
         // Panics must still leave flushed, checkpointed chains behind.
@@ -1281,17 +1252,6 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
             .transpose()?,
     };
 
-    // `--compiled FILE` supplies the flat-kernel artifact for the
-    // binding check: it must hash to the certificate's compiled_hash
-    // and (with --policy) re-prove equivalent to the tree node for node.
-    let compiled_artifact = args
-        .flag("compiled")
-        .map(|path| {
-            std::fs::read_to_string(path)
-                .map_err(|e| format!("cannot read compiled artifact {path}: {e}"))
-        })
-        .transpose()?;
-
     let replay_sample: usize = args
         .flag("replay")
         .map(|v| v.parse().map_err(|_| "--replay must be a number"))
@@ -1306,9 +1266,6 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     }
     if let Some(c) = &certificate {
         auditor = auditor.with_certificate(c);
-    }
-    if let Some(artifact) = &compiled_artifact {
-        auditor = auditor.with_compiled_artifact(artifact);
     }
     let report = auditor.run();
 

@@ -30,9 +30,13 @@
 //! | `POST /decide/{tenant}` | one decision for one building |
 //! | `POST /decide` | same, tenant named by a `"tenant"` body field (optional for a single-tenant fleet) |
 //! | `POST /tick` | lockstep batch: `{"requests":[{"tenant":…,"observation":{…}},…]}` |
-//! | `GET /tenants` | fleet roster with per-tenant guard rung and decision counts |
-//! | `GET /version` | build info, tenant and distinct-policy counts; with exactly one distinct policy also its `policy_hash`, `certified` and `certificate_id` |
+//! | `GET /tenants` | fleet roster with per-tenant guard rung, decision counts, `certified` and `verified` |
+//! | `GET /version` | build info, tenant and distinct-policy counts; with exactly one distinct policy also its `policy_hash`, `certified`, `verified` and `certificate_id` |
 //! | `GET /debug/flight`, `/debug/slo`, `/metrics`, `/summary.json`, `/healthz` | the ops plane of [`crate::serve`] |
+//!
+//! `certified` means a certificate binds the policy, whatever its
+//! verdict; `verified` is that certificate's verdict (`false` when
+//! uncertified or `NOT VERIFIED`).
 //!
 //! Per-tenant decisions are **bit-identical** to deciding in process:
 //! both `/decide` routes run [`crate::serve::decide_json_traced`]'s
@@ -54,6 +58,7 @@ use hvac_telemetry::json::{parse, JsonValue, ObjectWriter};
 use hvac_telemetry::ring::{FlightRecord, FlightRecorder};
 use hvac_telemetry::slo::SloTracker;
 use hvac_telemetry::{process_elapsed_ns, warn, windowed_histogram, LATENCY_BOUNDS_NS};
+use hvac_verify::Certificate;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
 use std::io::Write as _;
@@ -93,7 +98,7 @@ pub fn valid_tenant_id(id: &str) -> bool {
 pub struct RegisteredPolicy {
     policy: DtPolicy,
     hash: String,
-    certificate_id: Option<String>,
+    certificate: Option<Certificate>,
 }
 
 impl RegisteredPolicy {
@@ -110,7 +115,13 @@ impl RegisteredPolicy {
     /// Id of the verification certificate the policy is served under,
     /// when certified.
     pub fn certificate_id(&self) -> Option<&str> {
-        self.certificate_id.as_deref()
+        self.certificate.as_ref().map(|c| c.certificate_id.as_str())
+    }
+
+    /// Whether the policy is served under a certificate whose verdict
+    /// is `VERIFIED`.
+    pub fn verified(&self) -> bool {
+        self.certificate.as_ref().is_some_and(Certificate::verified)
     }
 }
 
@@ -130,11 +141,11 @@ impl PolicyRegistry {
 
     /// Registers `policy`, returning the (possibly pre-existing)
     /// shared entry for its content hash. The first registration of a
-    /// hash fixes the certificate id; later duplicates keep it.
+    /// hash fixes the certificate; later duplicates keep it.
     pub fn register(
         &mut self,
         policy: DtPolicy,
-        certificate_id: Option<String>,
+        certificate: Option<Certificate>,
     ) -> Arc<RegisteredPolicy> {
         let hash = hvac_audit::policy_hash(&policy);
         match self.entries.entry(hash.clone()) {
@@ -142,7 +153,7 @@ impl PolicyRegistry {
             Entry::Vacant(v) => Arc::clone(v.insert(Arc::new(RegisteredPolicy {
                 policy,
                 hash,
-                certificate_id,
+                certificate,
             }))),
         }
     }
@@ -257,7 +268,7 @@ pub struct TickDecision {
 }
 
 /// One tenant a fleet manifest (re)load wants serving: the id, the
-/// loaded policy, and the certificate id it is gated under (already
+/// loaded policy, and the certificate it is gated under (already
 /// re-checked by the caller — [`Fleet::reload`] swaps state, it does
 /// not re-run certificate verification).
 #[derive(Debug)]
@@ -266,8 +277,8 @@ pub struct TenantSpec {
     pub id: String,
     /// The policy to serve.
     pub policy: DtPolicy,
-    /// Certificate id the policy is served under, when certified.
-    pub certificate_id: Option<String>,
+    /// Certificate the policy is served under, when certified.
+    pub certificate: Option<Certificate>,
 }
 
 /// What one [`Fleet::reload`] did, tenant by tenant.
@@ -446,7 +457,7 @@ impl Fleet {
         &self,
         id: &str,
         policy: DtPolicy,
-        certificate_id: Option<String>,
+        certificate: Option<Certificate>,
     ) -> Result<(), String> {
         if !valid_tenant_id(id) {
             return Err(format!(
@@ -461,7 +472,7 @@ impl Fleet {
             .registry
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
-            .register(policy, certificate_id);
+            .register(policy, certificate);
         let mut guard = GuardedPolicy::new(
             registered.policy().clone(),
             GuardConfig::new(self.options.comfort),
@@ -670,7 +681,8 @@ impl Fleet {
                 let hash = hvac_audit::policy_hash(&spec.policy);
                 if let Some(tenant) = current.get(&spec.id) {
                     if tenant.policy.hash() == hash
-                        && tenant.policy.certificate_id() == spec.certificate_id.as_deref()
+                        && tenant.policy.certificate_id()
+                            == spec.certificate.as_ref().map(|c| c.certificate_id.as_str())
                     {
                         report.unchanged.push(spec.id);
                         continue;
@@ -683,7 +695,7 @@ impl Fleet {
                     .registry
                     .lock()
                     .unwrap_or_else(PoisonError::into_inner)
-                    .register(spec.policy, spec.certificate_id);
+                    .register(spec.policy, spec.certificate);
                 let (chain, tmp_path) = match &self.options.audit_dir {
                     Some(dir) => {
                         std::fs::create_dir_all(dir).map_err(|e| {
@@ -1140,6 +1152,7 @@ fn tenants_json(fleet: &Fleet) -> String {
         o.str_field("id", &tenant.id);
         o.str_field("policy_hash", tenant.policy.hash());
         o.bool_field("certified", tenant.policy.certificate_id().is_some());
+        o.bool_field("verified", tenant.policy.verified());
         if let Some(id) = tenant.policy.certificate_id() {
             o.str_field("certificate_id", id);
         }
@@ -1176,6 +1189,7 @@ fn fleet_version_json(fleet: &Fleet) -> String {
     if let (1, Some(only)) = (registry.len(), registry.entries.values().next()) {
         o.str_field("policy_hash", only.hash());
         o.bool_field("certified", only.certificate_id().is_some());
+        o.bool_field("verified", only.verified());
         if let Some(id) = only.certificate_id() {
             o.str_field("certificate_id", id);
         }

@@ -354,6 +354,8 @@ mod tests {
     use hvac_dtree::{DecisionTree, TreeConfig};
     use hvac_env::{ActionSpace, Disturbances, SetpointAction};
     use hvac_telemetry::http::{blocking_request, HttpServer, REQUEST_ID_HEADER};
+    use hvac_verify::probabilistic::SafeProbability;
+    use hvac_verify::{Certificate, VerificationConfig, VerificationReport};
 
     /// Cold zones → heat hard, warm zones → off (same toy tree as the
     /// dt_policy unit tests).
@@ -379,11 +381,11 @@ mod tests {
     /// `veri-hvac serve --policy` does.
     fn serve_one(
         policy: DtPolicy,
-        certificate_id: Option<String>,
+        certificate: Option<Certificate>,
         options: FleetOptions,
     ) -> HttpServer {
         let fleet = Fleet::new(options);
-        fleet.add_tenant("default", policy, certificate_id).unwrap();
+        fleet.add_tenant("default", policy, certificate).unwrap();
         serve_fleet(fleet, "127.0.0.1:0").expect("bind")
     }
 
@@ -549,7 +551,8 @@ mod tests {
 
     #[test]
     fn version_endpoint_reports_build_policy_and_certificate() {
-        // Uncertified: certified=false, no certificate_id key.
+        // Uncertified: certified=false, verified=false, no
+        // certificate_id key.
         let server = serve_default(toy_policy());
         let (status, text) = blocking_request(server.addr(), "GET", "/version", "").unwrap();
         assert_eq!(status, 200, "{text}");
@@ -567,18 +570,36 @@ mod tests {
             Some(hvac_audit::policy_hash(&toy_policy()).as_str())
         );
         assert_eq!(v.get("certified").and_then(JsonValue::as_bool), Some(false));
+        assert_eq!(v.get("verified").and_then(JsonValue::as_bool), Some(false));
         assert!(v.get("certificate_id").is_none());
         server.shutdown();
 
-        // Certified: the id round-trips verbatim.
-        let server = serve_one(
-            toy_policy(),
-            Some("deadbeef".repeat(8)),
-            FleetOptions::default(),
-        );
+        // Certified under a VERIFIED certificate: the id round-trips
+        // verbatim.
+        let report = VerificationReport {
+            total_nodes: 3,
+            leaf_nodes: 2,
+            criterion_1: SafeProbability {
+                safe: 1990,
+                total: 2000,
+                threshold: 0.9,
+            },
+            corrected_criterion_2: 0,
+            corrected_criterion_3: 0,
+        };
+        let certificate = Certificate::new(
+            hvac_audit::policy_hash(&toy_policy()),
+            report,
+            &VerificationConfig::paper(),
+            0.1,
+            Vec::new(),
+        )
+        .with_id("deadbeef".repeat(8));
+        let server = serve_one(toy_policy(), Some(certificate), FleetOptions::default());
         let (_, text) = blocking_request(server.addr(), "GET", "/version", "").unwrap();
         let v = parse(&text).unwrap();
         assert_eq!(v.get("certified").and_then(JsonValue::as_bool), Some(true));
+        assert_eq!(v.get("verified").and_then(JsonValue::as_bool), Some(true));
         assert_eq!(
             v.get("certificate_id").and_then(JsonValue::as_str),
             Some("deadbeef".repeat(8).as_str())

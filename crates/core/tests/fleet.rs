@@ -335,7 +335,7 @@ fn tick_with_a_fleet_sized_string_is_rejected_well_inside_the_read_timeout() {
         Ok(vec![TenantSpec {
             id: "solo".to_string(),
             policy: toy_policy(20.0),
-            certificate_id: None,
+            certificate: None,
         }])
     });
     let server = serve_fleet_with_reload(fleet, "127.0.0.1:0", Some(source)).expect("bind");
@@ -560,7 +560,7 @@ fn body_cap_follows_the_roster_size_unless_it_can_reload() {
         Ok(vec![TenantSpec {
             id: "solo".to_string(),
             policy: toy_policy(20.0),
-            certificate_id: None,
+            certificate: None,
         }])
     });
     let server = serve_fleet_with_reload(reloadable, "127.0.0.1:0", Some(source)).expect("bind");
@@ -671,7 +671,7 @@ fn reload_diffs_swaps_archives_and_rolls_back_atomically() {
     let spec = |id: &str, split: f64| TenantSpec {
         id: id.to_string(),
         policy: toy_policy(split),
-        certificate_id: None,
+        certificate: None,
     };
     let report = fleet
         .reload(vec![spec("a", 20.0), spec("b", 19.0), spec("c", 20.0)])
@@ -734,47 +734,71 @@ fn reload_diffs_swaps_archives_and_rolls_back_atomically() {
 }
 
 #[test]
-fn tick_serves_the_compiled_kernel_bit_identically_to_the_enum_walk() {
-    // Two fleets over the same trees: one serving the flat compiled
-    // kernel (the default — DtPolicy::new proves and installs it), one
-    // pinned to the reference enum walk. Every lockstep decision must
-    // agree bit for bit, or the fast path is not a fast path.
-    let splits = [14.5, 17.0, 19.5, 21.0];
-    let compiled_fleet = Fleet::new(FleetOptions::default());
-    let walk_fleet = Fleet::new(FleetOptions::default());
-    for (i, &split) in splits.iter().enumerate() {
-        let policy = toy_policy(split);
-        assert!(
-            policy.compiled().is_some(),
-            "fitted trees must compile and prove"
-        );
-        let walk = DtPolicy::new_uncompiled(policy.tree().clone()).expect("same tree, no kernel");
-        assert!(walk.compiled().is_none());
-        compiled_fleet
-            .add_tenant(&format!("zone-{i}"), policy, None)
-            .unwrap();
-        walk_fleet
-            .add_tenant(&format!("zone-{i}"), walk, None)
-            .unwrap();
-    }
+fn a_not_verified_certificate_is_certified_but_not_verified_on_the_wire() {
+    use veri_hvac::audit::{bind_certificate, policy_hash};
+    use veri_hvac::verify::probabilistic::SafeProbability;
+    use veri_hvac::verify::{Certificate, VerificationConfig, VerificationReport};
 
-    // Sweep across both sides of every split, the splits themselves,
-    // and guard-hostile temps (the guard holds/falls back before the
-    // policy, identically in both fleets).
-    for step in 0..60 {
-        let temp = 11.0 + f64::from(step) * 0.21;
-        let requests: Vec<(String, Observation)> = (0..splits.len())
-            .map(|i| (format!("zone-{i}"), obs(temp + i as f64 * 0.045)))
-            .collect();
-        let fast = compiled_fleet.tick(&requests).unwrap();
-        let slow = walk_fleet.tick(&requests).unwrap();
-        assert_eq!(fast.len(), slow.len());
-        for (f, s) in fast.iter().zip(&slow) {
-            assert_eq!(f.tenant, s.tenant);
-            assert_eq!(f.action, s.action, "step {step} tenant {}", f.tenant);
-            assert_eq!(f.state, s.state, "step {step} tenant {}", f.tenant);
-        }
-    }
+    // A certificate binds the policy, but criterion #1 sits at 57.8%
+    // against a 90% threshold: the verdict is NOT VERIFIED.
+    let policy = toy_policy(20.0);
+    let report = VerificationReport {
+        total_nodes: 3,
+        leaf_nodes: 2,
+        criterion_1: SafeProbability {
+            safe: 289,
+            total: 500,
+            threshold: 0.9,
+        },
+        corrected_criterion_2: 0,
+        corrected_criterion_3: 0,
+    };
+    let certificate = bind_certificate(Certificate::new(
+        policy_hash(&policy),
+        report,
+        &VerificationConfig::paper(),
+        0.1,
+        Vec::new(),
+    ));
+    assert!(!certificate.verified());
+    let fleet = Fleet::new(FleetOptions::default());
+    fleet
+        .add_tenant("refuted", policy, Some(certificate.clone()))
+        .unwrap();
+    let server = serve_fleet(fleet, "127.0.0.1:0").expect("bind");
+
+    let (status, text) = blocking_request(server.addr(), "GET", "/version", "").unwrap();
+    assert_eq!(status, 200, "{text}");
+    let version = parse(&text).unwrap();
+    assert_eq!(
+        version.get("certified").and_then(JsonValue::as_bool),
+        Some(true)
+    );
+    assert_eq!(
+        version.get("verified").and_then(JsonValue::as_bool),
+        Some(false)
+    );
+    assert_eq!(
+        version.get("certificate_id").and_then(JsonValue::as_str),
+        Some(certificate.certificate_id.as_str())
+    );
+
+    let (status, text) = blocking_request(server.addr(), "GET", "/tenants", "").unwrap();
+    assert_eq!(status, 200, "{text}");
+    let roster = parse(&text).unwrap();
+    let tenant = &roster
+        .get("tenants")
+        .and_then(JsonValue::as_array)
+        .expect("tenants array")[0];
+    assert_eq!(
+        tenant.get("certified").and_then(JsonValue::as_bool),
+        Some(true)
+    );
+    assert_eq!(
+        tenant.get("verified").and_then(JsonValue::as_bool),
+        Some(false)
+    );
+    server.shutdown();
 }
 
 #[test]
@@ -794,7 +818,7 @@ fn malformed_manifest_policy_is_a_per_tenant_409_not_a_worker_panic() {
         Ok(vec![TenantSpec {
             id: "bad".to_string(),
             policy,
-            certificate_id: None,
+            certificate: None,
         }])
     });
     let server = serve_fleet_with_reload(fleet, "127.0.0.1:0", Some(source)).expect("bind");
@@ -832,12 +856,12 @@ fn admin_reload_swaps_under_load_without_tearing_batches() {
             TenantSpec {
                 id: "a".to_string(),
                 policy: toy_policy(20.0),
-                certificate_id: None,
+                certificate: None,
             },
             TenantSpec {
                 id: "b".to_string(),
                 policy: toy_policy(split),
-                certificate_id: None,
+                certificate: None,
             },
         ])
     });

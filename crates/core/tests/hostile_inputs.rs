@@ -263,14 +263,11 @@ fn hostile_observations_never_panic_raw_or_guarded_policies() {
 /// The malformed-tree corpus: every shape of broken policy file the
 /// loaders must reject with a typed error — cycles, dangling child
 /// indices, non-finite thresholds, truncations — plus seeded random
-/// mutations of a valid artifact. Covers both the enum-tree format
-/// (`dtree v1`) and the compiled-kernel format (`ctree v1`); the
-/// contract is the hostile-input contract everywhere: **no panic**,
-/// **no loop**, every outcome a parsed tree or a structured error.
+/// mutations of a valid artifact (`dtree v1`). The contract is the
+/// hostile-input contract everywhere: **no panic**, **no loop**, every
+/// outcome a parsed tree or a structured error.
 #[test]
 fn malformed_tree_corpus_is_rejected_not_served() {
-    use veri_hvac::dtree::CompiledTree;
-
     let dtree_corpus: &[(&str, &str)] = &[
         (
             "cycle (self-referencing split)",
@@ -304,22 +301,6 @@ fn malformed_tree_corpus_is_rejected_not_served() {
     ];
     for (what, text) in dtree_corpus {
         let err = DecisionTree::from_compact_string(text)
-            .expect_err(&format!("corpus entry must be rejected: {what}"));
-        assert!(!err.to_string().is_empty(), "{what}: empty error message");
-    }
-
-    let ctree_corpus: &[(&str, &str)] = &[
-        ("cycle (self-referencing split)", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 1\nleaves 1\nN 0 20.0 S0 L0\nF 0 0\n"),
-        ("cycle (backward edge)", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 2\nleaves 2\nN 0 20.0 S1 L0\nN 1 5.0 S0 L1\nF 0 0\nF 1 1\n"),
-        ("bad child index", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 1\nleaves 2\nN 0 20.0 L0 S9\nF 0 0\nF 1 1\n"),
-        ("bad leaf index", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 1\nleaves 2\nN 0 20.0 L0 L7\nF 0 0\nF 1 1\n"),
-        ("NaN threshold", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 1\nleaves 2\nN 0 NaN L0 L1\nF 0 0\nF 1 1\n"),
-        ("truncated (header only)", "ctree v1\n"),
-        ("truncated (missing leaf)", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 1\nleaves 2\nN 0 20.0 L0 L1\nF 0 0\n"),
-        ("truncated mid-line", "ctree v1\nfeatures 7\nclasses 90\nroot S0\nsplits 1\nleaves 2\nN 0 20.0\n"),
-    ];
-    for (what, text) in ctree_corpus {
-        let err = CompiledTree::from_compact_string(text)
             .expect_err(&format!("corpus entry must be rejected: {what}"));
         assert!(!err.to_string().is_empty(), "{what}: empty error message");
     }

@@ -116,26 +116,6 @@ pub enum TreeError {
         /// The offending split node.
         node: usize,
     },
-    /// The tree exceeds a structural limit of the compiled flat layout
-    /// (feature index beyond `u16`, class beyond 31 bits, …).
-    TooLargeToCompile {
-        /// Which limit was exceeded.
-        what: &'static str,
-    },
-    /// The lock-step walk of a tree and its compiled kernel found a node
-    /// pair that breaks an equivalence invariant — the compiled form is
-    /// not eligible to serve.
-    KernelMismatch {
-        /// Source-tree node of the pair; `None` when no tree node
-        /// reaches the kernel node (`unreachable`).
-        node: Option<usize>,
-        /// Kernel node in the artifact's notation (`S<i>` / `L<j>`).
-        cursor: String,
-        /// The invariant that failed: `kind`, `feature`, `threshold`,
-        /// `class`, `source node`, `shared`, `unreachable`, `width` or
-        /// `classes`.
-        invariant: &'static str,
-    },
 }
 
 impl fmt::Display for TreeError {
@@ -200,23 +180,6 @@ impl fmt::Display for TreeError {
             }
             TreeError::NonFiniteThreshold { node } => {
                 write!(f, "split node {node} has a non-finite threshold")
-            }
-            TreeError::TooLargeToCompile { what } => {
-                write!(f, "tree exceeds compiled-layout limit: {what}")
-            }
-            TreeError::KernelMismatch {
-                node,
-                cursor,
-                invariant,
-            } => {
-                write!(
-                    f,
-                    "compiled kernel breaks the {invariant} invariant at {cursor}"
-                )?;
-                match node {
-                    Some(node) => write!(f, " (tree node {node})"),
-                    None => write!(f, " (no tree node reaches it)"),
-                }
             }
         }
     }

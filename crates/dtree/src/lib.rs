@@ -38,8 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod compiled;
-pub mod equivalence;
 pub mod error;
 pub mod export;
 pub mod fit;
@@ -47,8 +45,6 @@ pub mod interval;
 pub mod serialize;
 pub mod tree;
 
-pub use compiled::{CompiledTree, LEAF_BIT};
-pub use equivalence::prove_equivalence;
 pub use error::TreeError;
 pub use interval::{InputBox, Interval};
 pub use tree::{DecisionTree, LeafId, Node, NodeId, TreeConfig};

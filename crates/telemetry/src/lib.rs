@@ -51,8 +51,9 @@
 //!
 //! With the default [`NullSink`], an instrumented call site pays at
 //! most a few relaxed atomic operations (no locks, no allocation, no
-//! formatting); `crates/bench/benches/overhead.rs` guards this. Level
-//! checks short-circuit before any message formatting.
+//! formatting); perfbench's `layers.tracing_overhead_pct` reports the
+//! end-to-end cost. Level checks short-circuit before any message
+//! formatting.
 //!
 //! # Example
 //!

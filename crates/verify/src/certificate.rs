@@ -57,11 +57,12 @@ pub struct Certificate {
     pub artifact_keys: Vec<String>,
     /// Version of the crate that verified the policy.
     pub crate_version: String,
-    /// SHA-256 (hex) of the compiled flat-kernel artifact (`ctree v1`
-    /// text) proven equivalent to the verified tree, or empty when the
-    /// policy ships without a compiled form. Certificates that predate
-    /// compiled kernels omit the field entirely, so their ids are
-    /// unchanged.
+    /// Parse-only legacy field: the SHA-256 of a flat serving kernel
+    /// that earlier releases compiled from the tree and bound here.
+    /// Policies now serve the verified tree itself, so new
+    /// certificates leave it empty and omit it from the canonical
+    /// bytes; a legacy certificate that carries it keeps it, so its id
+    /// still recomputes.
     pub compiled_hash: String,
 }
 
@@ -128,9 +129,9 @@ impl Certificate {
         o.f64_field("noise", self.noise);
         o.str_array_field("artifact_keys", &self.artifact_keys);
         o.str_field("crate_version", &self.crate_version);
-        // Only emitted when a compiled kernel was bound: certificates
-        // issued before compiled kernels existed keep their exact
-        // canonical bytes (and therefore their ids).
+        // Only emitted when non-empty, i.e. for legacy certificates
+        // that bound a compiled kernel: their canonical bytes (and
+        // therefore their ids) are unchanged.
         if !self.compiled_hash.is_empty() {
             o.str_field("compiled_hash", &self.compiled_hash);
         }
@@ -142,17 +143,6 @@ impl Certificate {
     #[must_use]
     pub fn with_id(mut self, id: String) -> Self {
         self.certificate_id = id;
-        self
-    }
-
-    /// Binds the certificate to the SHA-256 of a compiled flat-kernel
-    /// artifact. Must be applied *before* [`Certificate::with_id`]: the
-    /// compiled hash is part of the canonical bytes the id commits to,
-    /// so `veri_hvac audit` can detect a swapped or tampered compiled
-    /// artifact the same way it detects swapped policy bytes.
-    #[must_use]
-    pub fn with_compiled_hash(mut self, hash: String) -> Self {
-        self.compiled_hash = hash;
         self
     }
 
@@ -222,7 +212,7 @@ impl Certificate {
             noise: f("noise")?,
             artifact_keys: keys,
             crate_version: s("crate_version")?,
-            // Absent on certificates that predate compiled kernels.
+            // Present only on legacy certificates (see the field doc).
             compiled_hash: v
                 .get("compiled_hash")
                 .and_then(|x| x.as_str())
@@ -294,11 +284,14 @@ mod tests {
     #[test]
     fn compiled_hash_is_committed_only_when_present() {
         let plain = certificate();
-        // No compiled kernel bound: the field stays out of the
-        // canonical bytes, so pre-compiled-kernel ids are unchanged.
+        // New certificates carry no compiled hash: the field stays out
+        // of the canonical bytes.
         assert!(!plain.canonical_string().contains("compiled_hash"));
 
-        let bound = certificate().with_compiled_hash("ef".repeat(32));
+        let bound = Certificate {
+            compiled_hash: "ef".repeat(32),
+            ..certificate()
+        };
         assert!(bound.canonical_string().contains("compiled_hash"));
         assert_ne!(bound.canonical_string(), plain.canonical_string());
 
@@ -307,8 +300,8 @@ mod tests {
         assert_eq!(restored, bound);
         assert_eq!(restored.canonical_string(), bound.canonical_string());
 
-        // A v1 certificate serialized before the field existed still
-        // parses, with an empty compiled hash.
+        // A certificate without the field parses with an empty
+        // compiled hash.
         let legacy = Certificate::from_json_string(&plain.to_json_string()).unwrap();
         assert_eq!(legacy.compiled_hash, "");
         assert_eq!(legacy, plain);
