@@ -10,10 +10,10 @@
 //! Durability follows the threat model, not just the crash model: a
 //! chain is *evidence*, so by default every append is flushed through
 //! the `BufWriter` to the OS ([`FlushPolicy::Always`]). That costs a
-//! `write(2)` per record (measured in `BENCH_serve_audit.json`: p50
-//! +29.6% on the serve path) but means a `SIGKILL`-ed serve loses at
-//! most the decision in flight — never a suffix of acknowledged
-//! decisions. Deployments that can tolerate a bounded loss window buy
+//! `write(2)` per record (perfbench's `audit.append_us`, against
+//! `audit.append_buffered_us` for a buffered chain) but means a
+//! `SIGKILL`-ed serve loses at most the decision in flight — never a
+//! suffix of acknowledged decisions. Deployments that can tolerate a bounded loss window buy
 //! the latency back with [`FlushPolicy::EveryN`] (flush after every
 //! K appends) or [`FlushPolicy::IntervalMs`] (flush when the last
 //! flush is older than T ms); [`FlushPolicy::OnSeal`] buffers

@@ -32,6 +32,7 @@
 
 use hvac_telemetry::json::{self, JsonValue, ObjectWriter};
 use hvac_telemetry::{error, info, JsonlSink, Level, StderrSink};
+use std::io::Write as _;
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -79,6 +80,8 @@ GLOBAL FLAGS:
                      (equivalent to HVAC_TELEMETRY=FILE)
   --metrics-addr A   expose GET /metrics, /healthz, /summary.json at A
                      (e.g. 127.0.0.1:9464) for the duration of the run
+
+A flag the subcommand does not list above is an error that names it.
 
 `extract --cache-dir DIR` keeps a content-addressed store of every
 pipeline stage; re-runs with the same config skip straight to the
@@ -206,7 +209,54 @@ impl Args {
     fn has(&self, name: &str) -> bool {
         self.flags.iter().any(|(n, _)| n == name)
     }
+
+    /// Refuses the first flag that is neither in `known` (the
+    /// subcommand's space-separated flag names) nor in [`GLOBAL_FLAGS`],
+    /// naming it: a mistyped or stale flag must not run the command as
+    /// if it had never been given.
+    fn reject_unknown(&self, command: &str, known: &str) -> Result<(), String> {
+        let knows = |name: &str| known.split(' ').chain(GLOBAL_FLAGS).any(|k| k == name);
+        match self.flags.iter().find(|(name, _)| !knows(name)) {
+            Some((name, _)) => Err(format!(
+                "{command} does not take --{name} (see `veri-hvac --help`)"
+            )),
+            None => Ok(()),
+        }
+    }
 }
+
+/// Flags every subcommand accepts.
+const GLOBAL_FLAGS: [&str; 4] = ["verbose", "quiet", "telemetry", "metrics-addr"];
+
+/// Each subcommand, its entry point, and the flags it reads besides
+/// [`GLOBAL_FLAGS`].
+type Subcommand = (&'static str, fn(&Args) -> Result<(), String>, &'static str);
+const SUBCOMMANDS: [Subcommand; 7] = [
+    ("extract", cmd_extract, "city out-dir paper noise cache-dir"),
+    (
+        "verify",
+        cmd_verify,
+        "artifacts policy model samples conservative cache-dir",
+    ),
+    (
+        "sweep",
+        cmd_sweep,
+        "cities seeds threads cache-dir out paper noise conservative",
+    ),
+    ("inspect", cmd_inspect, "policy dot"),
+    ("simulate", cmd_simulate, "policy city days"),
+    (
+        "serve",
+        cmd_serve,
+        "policy fleet addr audit-log certificate cache-dir audit-dir audit-flush workers \
+         max-inflight flight-capacity require-certificate snapshot-every duration",
+    ),
+    (
+        "audit",
+        cmd_audit,
+        "chain policy certificate cache-dir replay allow-unsealed json recover",
+    ),
+];
 
 /// Installs the stderr sink (level from `--verbose`/`--quiet`) and, when
 /// `--telemetry FILE` is given, tees events into a JSONL file. The
@@ -1132,11 +1182,8 @@ fn cmd_serve(args: &Args) -> Result<(), String> {
     let options = veri_hvac::FleetOptions {
         audit_dir: audit_dir.clone(),
         audit_flush: flush,
-        ops: veri_hvac::OpsOptions {
-            flight_capacity: parse_count("flight-capacity")?
-                .unwrap_or(veri_hvac::OpsOptions::default().flight_capacity),
-            ..veri_hvac::OpsOptions::default()
-        },
+        flight_capacity: parse_count("flight-capacity")?
+            .unwrap_or(veri_hvac::FleetOptions::default().flight_capacity),
         workers: parse_count("workers")?,
         max_inflight: parse_count("max-inflight")?,
         snapshot_every,
@@ -1269,10 +1316,20 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
     }
     let report = auditor.run();
 
-    if args.has("json") {
-        println!("{}", report.to_json_string());
+    // A reader that stops early (`| head -1`) is not an error: the
+    // verdict still decides the exit status.
+    let mut out = std::io::stdout().lock();
+    let written = if args.has("json") {
+        writeln!(out, "{}", report.to_json_string())
     } else {
-        print!("{report}");
+        write!(out, "{report}")
+    }
+    .and_then(|()| out.flush());
+    match written {
+        Err(e) if e.kind() != std::io::ErrorKind::BrokenPipe => {
+            return Err(format!("cannot write the audit report: {e}"));
+        }
+        _ => {}
     }
     if report.passed() {
         Ok(())
@@ -1288,24 +1345,21 @@ fn cmd_audit(args: &Args) -> Result<(), String> {
 fn main() -> ExitCode {
     let args = Args::parse();
     let mut metrics_guard = None;
-    let result = init_telemetry(&args)
-        .and_then(|()| {
+    let command = args
+        .positional
+        .first()
+        .and_then(|name| SUBCOMMANDS.iter().find(|(n, _, _)| n == name));
+    let result = init_telemetry(&args).and_then(|()| match command {
+        Some(&(name, run, known)) => {
+            args.reject_unknown(name, known)?;
             metrics_guard = init_metrics_server(&args)?;
-            Ok(())
-        })
-        .and_then(|()| match args.positional.first().map(String::as_str) {
-            Some("extract") => cmd_extract(&args),
-            Some("verify") => cmd_verify(&args),
-            Some("sweep") => cmd_sweep(&args),
-            Some("inspect") => cmd_inspect(&args),
-            Some("simulate") => cmd_simulate(&args),
-            Some("serve") => cmd_serve(&args),
-            Some("audit") => cmd_audit(&args),
-            _ => {
-                eprint!("{USAGE}");
-                Err(String::new())
-            }
-        });
+            run(&args)
+        }
+        None => {
+            eprint!("{USAGE}");
+            Err(String::new())
+        }
+    });
     hvac_telemetry::flush();
     drop(metrics_guard);
     match result {

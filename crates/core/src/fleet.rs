@@ -46,7 +46,7 @@
 
 use crate::serve::{
     decide_value_traced, flight_json, mint_trace_id, observation_from_value, parse_body,
-    OpsOptions, DECIDE_TIMEOUT, MAX_DECIDE_BODY_BYTES, SERVE_WINDOW_EPOCHS, SERVE_WINDOW_NS,
+    DECIDE_TIMEOUT, MAX_DECIDE_BODY_BYTES, SERVE_WINDOW_EPOCHS, SERVE_WINDOW_NS,
 };
 use hvac_audit::{AuditChain, ChainConfig, ChainRecord, FlushPolicy, Payload};
 use hvac_control::{
@@ -56,7 +56,7 @@ use hvac_env::{ComfortRange, Observation, SetpointAction};
 use hvac_telemetry::http::{HttpServer, Request, Response, REQUEST_ID_HEADER};
 use hvac_telemetry::json::{parse, JsonValue, ObjectWriter};
 use hvac_telemetry::ring::{FlightRecord, FlightRecorder};
-use hvac_telemetry::slo::SloTracker;
+use hvac_telemetry::slo::{SloConfig, SloTracker};
 use hvac_telemetry::{process_elapsed_ns, warn, windowed_histogram, LATENCY_BOUNDS_NS};
 use hvac_verify::Certificate;
 use std::collections::btree_map::Entry;
@@ -224,9 +224,11 @@ pub struct FleetOptions {
     pub audit_dir: Option<PathBuf>,
     /// Flush policy for the per-tenant chains.
     pub audit_flush: FlushPolicy,
-    /// Flight recorder / windowed histogram / SLO tracker knobs
-    /// (shared across tenants — the ops plane watches the process).
-    pub ops: OpsOptions,
+    /// Flight-recorder capacity: the last N decisions behind
+    /// `GET /debug/flight`, shared across tenants (the ops plane
+    /// watches the process); 0 disables the recorder and the route
+    /// answers 404. Defaults to 256.
+    pub flight_capacity: usize,
     /// HTTP worker-pool size (`None` = the server's CPU-derived
     /// default).
     pub workers: Option<usize>,
@@ -246,7 +248,7 @@ impl Default for FleetOptions {
             comfort: ComfortRange::winter(),
             audit_dir: None,
             audit_flush: FlushPolicy::Always,
-            ops: OpsOptions::default(),
+            flight_capacity: 256,
             workers: None,
             max_inflight: None,
             snapshot_every: None,
@@ -971,7 +973,7 @@ impl Fleet {
 /// Shared ops-plane state for the fleet's HTTP handlers.
 struct OpsCtx {
     flight: Option<Arc<FlightRecorder>>,
-    window: Option<&'static hvac_telemetry::WindowedHistogram>,
+    window: &'static hvac_telemetry::WindowedHistogram,
     slo: Arc<SloTracker>,
     mint_seed: String,
     mint_sequence: AtomicU64,
@@ -1045,9 +1047,7 @@ fn handle_decide(
                 )
             }) {
                 Ok(outcome) => {
-                    if let Some(w) = ctx.window {
-                        w.record_at(now_ns, outcome.total_ns);
-                    }
+                    ctx.window.record_at(now_ns, outcome.total_ns);
                     ctx.slo.record_decide_at(now_ns, outcome.total_ns);
                     ctx.slo.record_guard_at(now_ns, outcome.guard_gauge);
                     record.parse_ns = outcome.parse_ns;
@@ -1242,22 +1242,19 @@ pub fn serve_fleet_with_reload(
             "a fleet needs at least one tenant",
         ));
     }
-    let ops = fleet.options.ops;
+    let flight_capacity = fleet.options.flight_capacity;
     let workers = fleet.options.workers;
     let max_inflight = fleet.options.max_inflight;
     let fleet = Arc::new(fleet);
 
-    let flight =
-        (ops.flight_capacity > 0).then(|| Arc::new(FlightRecorder::new(ops.flight_capacity)));
-    let window = ops.windowed.then(|| {
-        windowed_histogram(
-            "serve.decide.ns",
-            LATENCY_BOUNDS_NS,
-            SERVE_WINDOW_NS,
-            SERVE_WINDOW_EPOCHS,
-        )
-    });
-    let slo = Arc::new(SloTracker::new(ops.slo));
+    let flight = (flight_capacity > 0).then(|| Arc::new(FlightRecorder::new(flight_capacity)));
+    let window = windowed_histogram(
+        "serve.decide.ns",
+        LATENCY_BOUNDS_NS,
+        SERVE_WINDOW_NS,
+        SERVE_WINDOW_EPOCHS,
+    );
+    let slo = Arc::new(SloTracker::new(SloConfig::default()));
     let ctx = Arc::new(OpsCtx {
         flight: flight.clone(),
         window,

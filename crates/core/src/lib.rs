@@ -82,4 +82,4 @@ pub use fleet::{
 pub use pipeline::{
     run_pipeline, run_pipeline_cached, PipelineArtifacts, PipelineConfig, PipelineError,
 };
-pub use serve::{decide_json_traced, DecideOutcome, OpsOptions};
+pub use serve::{decide_json_traced, DecideOutcome};

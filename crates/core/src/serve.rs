@@ -22,15 +22,16 @@
 //! bit-identical to the bare policy, so a served decision still
 //! matches calling [`Policy::decide`] in process on the same state.
 //!
-//! The **live ops plane** ([`OpsOptions`]) rides on every request: a
-//! trace id (the client's validated `X-Request-Id`, or one from
-//! [`mint_trace_id`]) is echoed in the response header and body,
-//! stamped into the audit chain's decision record, threaded through
-//! the guard's telemetry, and captured — together with per-stage
-//! latencies, guard rung, action, and HTTP status — in a lock-free
-//! flight recorder behind `GET /debug/flight`. Decide latencies also
-//! feed a sliding-window histogram and an SLO tracker behind
-//! `GET /debug/slo`.
+//! The **live ops plane** rides on every request: a trace id (the
+//! client's validated `X-Request-Id`, or one from [`mint_trace_id`])
+//! is echoed in the response header and body, stamped into the audit
+//! chain's decision record, threaded through the guard's telemetry,
+//! and captured — together with per-stage latencies, guard rung,
+//! action, and HTTP status — in a lock-free flight recorder behind
+//! `GET /debug/flight` (sized by
+//! [`FleetOptions::flight_capacity`](crate::fleet::FleetOptions::flight_capacity)).
+//! Decide latencies also feed a sliding-window histogram and an SLO
+//! tracker (default objectives) behind `GET /debug/slo`.
 
 use hvac_audit::AuditChain;
 use hvac_control::{DtPolicy, GuardedPolicy};
@@ -38,7 +39,6 @@ use hvac_env::space::feature;
 use hvac_env::{Observation, Policy, POLICY_INPUT_DIM};
 use hvac_telemetry::json::{parse, JsonValue, ObjectWriter};
 use hvac_telemetry::ring::FlightRecorder;
-use hvac_telemetry::slo::SloConfig;
 use hvac_telemetry::{warn, LATENCY_BOUNDS_NS};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
@@ -257,31 +257,6 @@ pub(crate) fn decide_value_traced(
         heating: action.heating() as u64,
         cooling: action.cooling() as u64,
     })
-}
-
-/// Live ops-plane knobs for a serve session.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct OpsOptions {
-    /// Flight-recorder capacity (last-N decisions behind
-    /// `GET /debug/flight`); 0 disables the recorder (and the route
-    /// answers 404). Defaults to 256.
-    pub flight_capacity: usize,
-    /// Feed decide latencies into the sliding-window histogram
-    /// (windowed p50/p95/p99 in `/metrics` / `/summary.json`).
-    /// Defaults on.
-    pub windowed: bool,
-    /// Objectives for the `GET /debug/slo` burn-rate tracker.
-    pub slo: SloConfig,
-}
-
-impl Default for OpsOptions {
-    fn default() -> Self {
-        Self {
-            flight_capacity: 256,
-            windowed: true,
-            slo: SloConfig::default(),
-        }
-    }
 }
 
 /// The sliding window the serve path records decide latencies into:
@@ -773,10 +748,7 @@ mod tests {
     #[test]
     fn disabled_flight_recorder_answers_404() {
         let options = FleetOptions {
-            ops: OpsOptions {
-                flight_capacity: 0,
-                ..OpsOptions::default()
-            },
+            flight_capacity: 0,
             ..FleetOptions::default()
         };
         let server = serve_one(toy_policy(), None, options);

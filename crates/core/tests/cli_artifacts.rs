@@ -1,11 +1,13 @@
 //! CLI regression tests for the artifact-carrying subcommands: extract
 //! must persist the augmenter it actually used, verify must load that
 //! augmenter (never refit at a hard-coded noise level), legacy artifact
-//! dirs must fail with a clear message, and sweep must be cache-warm
-//! deterministic regardless of thread count.
+//! dirs must fail with a clear message, sweep must be cache-warm
+//! deterministic regardless of thread count, and `audit` must refuse
+//! flags it does not know and survive a reader that hangs up early.
 
-use std::path::PathBuf;
-use std::process::{Command, Output};
+use std::path::{Path, PathBuf};
+use std::process::{Command, Output, Stdio};
+use veri_hvac::audit::{AuditChain, ChainConfig};
 
 const BIN: &str = env!("CARGO_BIN_EXE_veri_hvac");
 
@@ -199,4 +201,68 @@ fn sweep_is_warm_cache_resumable_and_thread_count_invariant() {
     for dir in [&cache_dir, &cold_out_dir, &warm_out_dir, &single_out_dir] {
         let _ = std::fs::remove_dir_all(dir);
     }
+}
+
+/// Writes a small sealed chain that audits green without a policy.
+fn sealed_chain(dir: &Path) -> PathBuf {
+    std::fs::create_dir_all(dir).unwrap();
+    let path = dir.join("chain.jsonl");
+    let chain = AuditChain::create(&path, &"ab".repeat(32), "", ChainConfig::default()).unwrap();
+    for _ in 0..4 {
+        chain.append_transition("normal", "hold").unwrap();
+        chain.append_transition("hold", "normal").unwrap();
+    }
+    chain.seal().unwrap();
+    path
+}
+
+#[test]
+fn audit_rejects_a_flag_it_does_not_know_and_names_it() {
+    let dir = temp_dir("unknown-flag");
+    let chain = sealed_chain(&dir);
+    let chain = chain.to_str().unwrap();
+    let clean = run(&["audit", "--chain", chain, "--quiet"]);
+    assert!(clean.status.success(), "{}", stderr(&clean));
+
+    // Global flags ride along on every subcommand.
+    let global = run(&["audit", "--chain", chain, "--verbose", "--json"]);
+    assert!(global.status.success(), "{}", stderr(&global));
+
+    let stale = run(&["audit", "--chain", chain, "--compiled", "x"]);
+    assert!(!stale.status.success(), "unknown flag must fail the run");
+    assert!(
+        stderr(&stale).contains("--compiled"),
+        "the error must name the flag: {}",
+        stderr(&stale)
+    );
+    assert!(
+        stdout(&stale).is_empty(),
+        "no report for a refused run: {}",
+        stdout(&stale)
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn audit_report_to_a_closed_pipe_exits_quietly() {
+    let dir = temp_dir("broken-pipe");
+    let chain = sealed_chain(&dir);
+    // The read end is gone before the child writes a byte, so every
+    // write to its stdout fails with EPIPE.
+    let (reader, writer) = std::io::pipe().unwrap();
+    drop(reader);
+    for extra in [None, Some("--json")] {
+        let mut args = vec!["audit", "--chain", chain.to_str().unwrap()];
+        args.extend(extra);
+        let out = Command::new(BIN)
+            .args(&args)
+            .stdout(writer.try_clone().unwrap())
+            .stderr(Stdio::piped())
+            .output()
+            .expect("spawn veri_hvac binary");
+        let err = stderr(&out);
+        assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
+        assert!(out.status.success(), "{args:?}: {err}");
+    }
+    let _ = std::fs::remove_dir_all(&dir);
 }

@@ -14,7 +14,7 @@ use hvac_telemetry::http::{
 };
 use hvac_telemetry::json::{parse, JsonValue};
 use std::path::PathBuf;
-use veri_hvac::{serve_fleet, Fleet, FleetOptions, OpsOptions};
+use veri_hvac::{serve_fleet, Fleet, FleetOptions};
 
 /// Cold zones → heat hard, warm zones → off (the serve tests' toy
 /// tree).
@@ -58,10 +58,7 @@ fn client_request_id_is_traceable_end_to_end() {
     let options = FleetOptions {
         audit_dir: Some(audit_dir.clone()),
         audit_flush: FlushPolicy::Always,
-        ops: OpsOptions {
-            flight_capacity: 64,
-            ..OpsOptions::default()
-        },
+        flight_capacity: 64,
         ..FleetOptions::default()
     };
     let server = serve_one(policy.clone(), options);
