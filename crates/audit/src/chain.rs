@@ -23,6 +23,13 @@
 //! [`hvac_telemetry::install_panic_flush_hook`]'s chained hook via
 //! [`install_chain_flush_hook`]) drains on panic. Sealing flushes
 //! under every policy.
+//!
+//! The writer's running state — next `seq`, last hash, running digest,
+//! counters, checkpoint cadence — is the chain-state fold (`fold.rs`),
+//! advanced after each append without re-checking the record just
+//! built. [`AuditChain::recover`] rebuilds the same state from disk by
+//! checking every record with the auditor's structural checks before
+//! folding it in, so recovery resumes only chains the audit accepts.
 
 use std::fs::OpenOptions;
 use std::io::{BufWriter, Write};
@@ -30,15 +37,12 @@ use std::path::Path;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex, Weak};
 
-use hvac_telemetry::json::parse;
 use hvac_telemetry::{
     counter, histogram, process_elapsed_ns, Counter, Histogram, LATENCY_BOUNDS_NS,
 };
 
-use crate::hash::Sha256;
-use crate::record::{
-    split_line, ChainRecord, Payload, CHAIN_FORMAT, GENESIS_PREV_HASH, OBSERVATION_DIM,
-};
+use crate::fold::{ChainState, Check, CHECK_NAMES};
+use crate::record::{chain_lines, ChainRecord, Payload, CHAIN_FORMAT, OBSERVATION_DIM};
 
 /// The byte sink an [`AuditChain`] appends through. Ordinary chains
 /// write straight to a [`std::fs::File`]; the chaos harness
@@ -155,17 +159,8 @@ pub struct RecoveryReport {
 #[derive(Debug)]
 struct Inner {
     out: BufWriter<Box<dyn ChainWriter>>,
-    /// `seq` of the next record.
-    next_seq: u64,
-    /// `record_hash` of the last appended record.
-    prev_hash: String,
-    /// Running digest over the newline-joined `record_hash` values of
-    /// every appended record; cloned (not consumed) at checkpoints.
-    digest: Sha256,
-    decisions: u64,
-    transitions: u64,
-    /// Content records appended since the last checkpoint.
-    since_checkpoint: u64,
+    /// The chain so far, advanced after every append.
+    state: ChainState,
     /// Appends since the last flush ([`FlushPolicy::EveryN`] state).
     since_flush: u64,
     /// Process time of the last flush ([`FlushPolicy::IntervalMs`]).
@@ -223,15 +218,25 @@ impl AuditChain {
         certificate_id: &str,
         config: ChainConfig,
     ) -> std::io::Result<Self> {
-        let chain = Self {
+        let chain = Self::resume(writer, ChainState::default(), config);
+        chain.append(
+            "genesis",
+            Payload::Genesis {
+                format: CHAIN_FORMAT.to_string(),
+                policy_hash: policy_hash.to_string(),
+                certificate_id: certificate_id.to_string(),
+                crate_version: env!("CARGO_PKG_VERSION").to_string(),
+            },
+        )?;
+        Ok(chain)
+    }
+
+    /// A writer appending to `writer` after the prefix `state` folds.
+    fn resume(writer: Box<dyn ChainWriter>, state: ChainState, config: ChainConfig) -> Self {
+        Self {
             inner: Mutex::new(Inner {
                 out: BufWriter::new(writer),
-                next_seq: 0,
-                prev_hash: GENESIS_PREV_HASH.to_string(),
-                digest: Sha256::new(),
-                decisions: 0,
-                transitions: 0,
-                since_checkpoint: 0,
+                state,
                 since_flush: 0,
                 last_flush_ns: process_elapsed_ns(),
                 sealed: false,
@@ -240,27 +245,17 @@ impl AuditChain {
             records_total: counter("audit.records"),
             checkpoints_total: counter("audit.checkpoints"),
             append_ns: histogram("audit.append.ns", LATENCY_BOUNDS_NS),
-        };
-        {
-            let mut inner = chain.inner.lock().expect("audit chain mutex poisoned");
-            chain.append_locked(
-                &mut inner,
-                "genesis",
-                Payload::Genesis {
-                    format: CHAIN_FORMAT.to_string(),
-                    policy_hash: policy_hash.to_string(),
-                    certificate_id: certificate_id.to_string(),
-                    crate_version: env!("CARGO_PKG_VERSION").to_string(),
-                },
-            )?;
         }
-        Ok(chain)
     }
 
     /// Re-opens an existing chain for appending after a crash.
     ///
-    /// Scans the file once (O(chain length)), verifying the
-    /// hash-linked prefix record by record. A *torn tail* — trailing
+    /// Scans the file once (O(chain length)), verifying the prefix
+    /// record by record with the auditor's structural checks: each
+    /// complete line is decoded, checked against the records before it
+    /// by the chain-state fold (`fold.rs`: record hash, `seq`/`prev_hash`
+    /// link, genesis format, checkpoint counters and digests, recovery
+    /// prefixes) and folded in. A *torn tail* — trailing
     /// bytes after the last complete line, the well-defined signature
     /// of a write cut mid-record (the length-prefixed JSONL format
     /// never emits a raw newline inside a record, so the torn fragment
@@ -280,148 +275,76 @@ impl AuditChain {
     ///
     /// * the file is missing, empty, or carries no complete genesis
     ///   record — create a fresh chain instead;
-    /// * any *complete* line fails to parse, hash, or link — that is
+    /// * any *complete* line fails a structural check — that is
     ///   interior corruption (tampering), which recovery refuses to
-    ///   paper over; the error names the byte offset;
+    ///   paper over; the error names the byte offset and the check, and
+    ///   the file is left as it was;
     /// * truncation or re-open I/O failures.
     pub fn recover(path: &Path, config: ChainConfig) -> std::io::Result<(Self, RecoveryReport)> {
-        let corrupt = |offset: usize, seq: u64, why: &str| {
-            std::io::Error::other(format!(
-                "cannot recover {}: complete record at byte offset {offset} (seq {seq}) is \
-                 corrupt: {why} — interior damage is tampering, not a torn tail",
-                path.display()
-            ))
-        };
         let bytes = std::fs::read(path)?;
-        let mut offset = 0usize;
-        let mut next_seq = 0u64;
-        let mut prev_hash = GENESIS_PREV_HASH.to_string();
-        let mut digest = Sha256::new();
-        let mut decisions = 0u64;
-        let mut transitions = 0u64;
-        let mut since_checkpoint = 0u64;
-        let mut policy_hash = String::new();
-        let mut certificate_id = String::new();
-        let mut last_kind = String::new();
-        while offset < bytes.len() {
-            // A line is only *complete* with its newline; anything
-            // after the last newline is the torn tail.
-            let Some(nl) = bytes[offset..].iter().position(|&b| b == b'\n') else {
-                break;
-            };
-            let line = std::str::from_utf8(&bytes[offset..offset + nl])
-                .map_err(|_| corrupt(offset, next_seq, "non-UTF-8 bytes"))?;
-            let record = split_line(line)
-                .and_then(|json| parse(json).map_err(|e| format!("bad JSON: {e:?}")))
-                .and_then(|v| ChainRecord::from_json(&v))
-                .map_err(|why| corrupt(offset, next_seq, &why))?;
-            if !record.hash_is_consistent() {
-                return Err(corrupt(
-                    offset,
-                    next_seq,
-                    "stored record_hash does not match its canonical bytes",
-                ));
-            }
-            if record.seq != next_seq || record.prev_hash != prev_hash {
-                return Err(corrupt(
-                    offset,
-                    next_seq,
-                    "seq/prev_hash does not link to the verified prefix",
-                ));
-            }
-            if next_seq == 0 {
-                let Payload::Genesis {
-                    policy_hash: ph,
-                    certificate_id: cid,
-                    ..
-                } = &record.payload
-                else {
-                    return Err(corrupt(offset, 0, "first record is not a genesis record"));
-                };
-                policy_hash = ph.clone();
-                certificate_id = cid.clone();
-            }
-            match &record.payload {
-                Payload::Decision { .. } => decisions += 1,
-                Payload::Transition { .. } => transitions += 1,
-                _ => {}
-            }
-            // Mirror the writer's checkpoint-cadence accounting.
-            match record.kind.as_str() {
-                "checkpoint" => since_checkpoint = 0,
-                "seal" => {}
-                _ => since_checkpoint += 1,
-            }
-            digest.update(record.record_hash.as_bytes());
-            digest.update(b"\n");
-            prev_hash = record.record_hash.clone();
-            last_kind = record.kind;
-            next_seq += 1;
-            offset += nl + 1;
+        let mut state = ChainState::default();
+        let (lines, prefix_len) = chain_lines(&bytes);
+        for (offset, decoded) in lines {
+            let record = decoded
+                .map_err(|why| (Check::Lines, why))
+                .and_then(|record| match state.check(&record).into_iter().next() {
+                    Some(fault) => Err(fault),
+                    None => Ok(record),
+                })
+                .map_err(|(check, why)| {
+                    std::io::Error::other(format!(
+                        "cannot recover {}: complete record at byte offset {offset} (seq {}) is \
+                         corrupt: check `{}` fails: {why} — interior damage is tampering, not a \
+                         torn tail",
+                        path.display(),
+                        state.records,
+                        CHECK_NAMES[check as usize],
+                    ))
+                })?;
+            state.advance(&record);
         }
-        if next_seq == 0 {
+        if state.records == 0 {
             return Err(std::io::Error::other(format!(
                 "cannot recover {}: no complete genesis record — create a fresh chain instead",
                 path.display()
             )));
         }
-        let truncated_bytes = (bytes.len() - offset) as u64;
+        let truncated_bytes = (bytes.len() - prefix_len) as u64;
         if truncated_bytes > 0 {
             // Atomic truncation: scratch + rename, never truncate in
             // place.
             let scratch = path.with_extension(format!("recover-scratch.{}", std::process::id()));
             {
                 let mut out = std::fs::File::create(&scratch)?;
-                out.write_all(&bytes[..offset])?;
+                out.write_all(&bytes[..prefix_len])?;
                 out.sync_all()?;
             }
             std::fs::rename(&scratch, path)?;
         }
         let report = RecoveryReport {
-            prefix_records: next_seq,
+            prefix_records: state.records,
             truncated_bytes,
-            truncated_at: offset as u64,
-            was_sealed: last_kind == "seal",
-            policy_hash,
-            certificate_id,
-            decisions,
-            transitions,
+            truncated_at: prefix_len as u64,
+            was_sealed: state.sealed,
+            policy_hash: state.policy_hash.clone(),
+            certificate_id: state.certificate_id.clone(),
+            decisions: state.decisions,
+            transitions: state.transitions,
         };
-        let prefix_digest = digest.clone().finalize_hex();
+        let prefix_digest = state.digest.clone().finalize_hex();
         let file = OpenOptions::new().append(true).open(path)?;
-        let chain = Self {
-            inner: Mutex::new(Inner {
-                out: BufWriter::new(Box::new(file)),
-                next_seq,
-                prev_hash,
-                digest,
-                decisions,
-                transitions,
-                since_checkpoint,
-                since_flush: 0,
-                last_flush_ns: process_elapsed_ns(),
-                sealed: false,
-            }),
-            config,
-            records_total: counter("audit.records"),
-            checkpoints_total: counter("audit.checkpoints"),
-            append_ns: histogram("audit.append.ns", LATENCY_BOUNDS_NS),
-        };
-        {
-            let mut inner = chain.inner.lock().expect("audit chain mutex poisoned");
-            chain.append_locked(
-                &mut inner,
-                "recovery",
-                Payload::Recovery {
-                    prefix_records: report.prefix_records,
-                    prefix_digest,
-                    truncated_bytes,
-                },
-            )?;
-            // The recovery record is evidence of the resume: it
-            // reaches the OS under every flush policy.
-            inner.out.flush()?;
-        }
+        let chain = Self::resume(Box::new(file), state, config);
+        chain.append(
+            "recovery",
+            Payload::Recovery {
+                prefix_records: report.prefix_records,
+                prefix_digest,
+                truncated_bytes,
+            },
+        )?;
+        // The recovery record is evidence of the resume: it reaches the
+        // OS under every flush policy.
+        chain.flush()?;
         counter("audit.recoveries").incr();
         Ok((chain, report))
     }
@@ -441,10 +364,7 @@ impl AuditChain {
         guard_state: &str,
         trace_id: Option<&str>,
     ) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("audit chain mutex poisoned");
-        inner.decisions += 1;
-        self.append_locked(
-            &mut inner,
+        self.append(
             "decision",
             Payload::Decision {
                 observation,
@@ -463,10 +383,7 @@ impl AuditChain {
     ///
     /// Propagates write failures (see [`AuditChain::append_decision`]).
     pub fn append_transition(&self, from: &str, to: &str) -> std::io::Result<()> {
-        let mut inner = self.inner.lock().expect("audit chain mutex poisoned");
-        inner.transitions += 1;
-        self.append_locked(
-            &mut inner,
+        self.append(
             "transition",
             Payload::Transition {
                 from: from.to_string(),
@@ -511,7 +428,8 @@ impl AuditChain {
         self.inner
             .lock()
             .expect("audit chain mutex poisoned")
-            .next_seq
+            .state
+            .records
     }
 
     /// Always `false`: a chain carries its genesis record from birth.
@@ -520,16 +438,23 @@ impl AuditChain {
     }
 
     fn checkpoint_payload(inner: &Inner) -> Payload {
+        let state = &inner.state;
         Payload::Checkpoint {
-            records: inner.next_seq,
-            decisions: inner.decisions,
-            transitions: inner.transitions,
-            digest: inner.digest.clone().finalize_hex(),
+            records: state.records,
+            decisions: state.decisions,
+            transitions: state.transitions,
+            digest: state.digest.clone().finalize_hex(),
         }
     }
 
-    /// The one append path: builds, hashes, writes, and advances the
-    /// running state; inserts a checkpoint when the cadence comes due.
+    fn append(&self, kind: &str, payload: Payload) -> std::io::Result<()> {
+        let mut inner = self.inner.lock().expect("audit chain mutex poisoned");
+        self.append_locked(&mut inner, kind, payload)
+    }
+
+    /// The one append path: builds, hashes, writes, and folds the
+    /// record into the chain state (unchecked: it was built right
+    /// here); inserts a checkpoint when the cadence comes due.
     fn append_locked(
         &self,
         inner: &mut Inner,
@@ -542,16 +467,13 @@ impl AuditChain {
         let start = process_elapsed_ns();
         let record = ChainRecord::new(
             kind,
-            inner.next_seq,
+            inner.state.records,
             start,
-            inner.prev_hash.clone(),
+            inner.state.prev_hash().to_string(),
             payload,
         );
         inner.out.write_all(record.to_line().as_bytes())?;
-        inner.digest.update(record.record_hash.as_bytes());
-        inner.digest.update(b"\n");
-        inner.prev_hash = record.record_hash;
-        inner.next_seq += 1;
+        inner.state.advance(&record);
         inner.since_flush += 1;
         let due = match self.config.flush {
             FlushPolicy::Always => true,
@@ -569,17 +491,10 @@ impl AuditChain {
         self.records_total.incr();
         self.append_ns
             .record(process_elapsed_ns().saturating_sub(start));
-        // Cadence counts *content* records (checkpoints and the seal
-        // don't reset-and-count themselves).
-        match kind {
-            "checkpoint" => inner.since_checkpoint = 0,
-            "seal" => {}
-            _ => inner.since_checkpoint += 1,
-        }
         if kind != "seal"
             && kind != "checkpoint"
             && self.config.checkpoint_every > 0
-            && inner.since_checkpoint >= self.config.checkpoint_every
+            && inner.state.since_checkpoint >= self.config.checkpoint_every
         {
             let payload = Self::checkpoint_payload(inner);
             self.checkpoints_total.incr();
@@ -641,8 +556,8 @@ pub fn install_chain_flush_hook() {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::split_line;
-    use hvac_telemetry::json::parse;
+    use crate::hash::Sha256;
+    use crate::record::{decode_line, GENESIS_PREV_HASH};
 
     fn temp_path(name: &str) -> std::path::PathBuf {
         let dir =
@@ -654,7 +569,7 @@ mod tests {
     fn read_records(path: &Path) -> Vec<ChainRecord> {
         let text = std::fs::read_to_string(path).unwrap();
         text.lines()
-            .map(|line| ChainRecord::from_json(&parse(split_line(line).unwrap()).unwrap()).unwrap())
+            .map(|line| decode_line(line).unwrap())
             .collect()
     }
 

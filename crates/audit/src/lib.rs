@@ -16,7 +16,9 @@
 //! * **The offline verifier** ([`Auditor`]): re-walks a chain from cold
 //!   bytes, recomputes every hash, replays checkpoint digests, checks
 //!   the certificate binding, and re-executes sampled decisions through
-//!   the in-process policy for bit-identical actions.
+//!   the in-process policy for bit-identical actions. Its structural
+//!   checks are the ones [`AuditChain::recover`] applies before it
+//!   resumes a chain.
 //!
 //! See `DESIGN.md` §4f for the chain format and threat model.
 
@@ -25,6 +27,7 @@
 
 pub mod audit;
 pub mod chain;
+mod fold;
 pub mod hash;
 pub mod record;
 

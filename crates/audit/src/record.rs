@@ -10,8 +10,8 @@
 //! truncated tail line is detected by the prefix alone, before any
 //! hashing. The JSON object carries, in fixed field order:
 //!
-//! * `kind` — `genesis`, `decision`, `transition`, `checkpoint`, or
-//!   `seal`;
+//! * `kind` — `genesis`, `decision`, `transition`, `recovery`,
+//!   `checkpoint`, or `seal`;
 //! * `seq` — monotonic record index starting at 0 (the genesis);
 //! * `t_ns` — monotonic process timestamp of the append;
 //! * `prev_hash` — the `record_hash` of the previous record (64 zeros
@@ -28,7 +28,7 @@
 //! in any field (including the metadata) breaks it.
 
 use crate::hash::sha256_hex;
-use hvac_telemetry::json::{JsonValue, ObjectWriter};
+use hvac_telemetry::json::{parse, JsonValue, ObjectWriter};
 
 /// Chain format tag embedded in every genesis record. Bump on any
 /// change to the record schema or canonical encoding. v2 added the
@@ -127,25 +127,6 @@ pub enum Payload {
     },
 }
 
-impl Payload {
-    /// The `kind` discriminator string.
-    pub fn kind(&self, sealed: bool) -> &'static str {
-        match self {
-            Payload::Genesis { .. } => "genesis",
-            Payload::Decision { .. } => "decision",
-            Payload::Transition { .. } => "transition",
-            Payload::Recovery { .. } => "recovery",
-            Payload::Checkpoint { .. } => {
-                if sealed {
-                    "seal"
-                } else {
-                    "checkpoint"
-                }
-            }
-        }
-    }
-}
-
 /// One fully-formed chain record (hash included).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChainRecord {
@@ -209,15 +190,9 @@ impl ChainRecord {
         format!("{} {json}\n", json.len())
     }
 
-    /// Parses the JSON part of one chain line (length prefix already
-    /// stripped and checked by the caller).
-    ///
-    /// # Errors
-    ///
-    /// Returns a static description of the first malformed field. The
-    /// record's hash is *not* checked here — call
-    /// [`ChainRecord::hash_is_consistent`].
-    pub fn from_json(v: &JsonValue) -> Result<Self, String> {
+    /// Reads a record from the parsed JSON of one chain line; see
+    /// [`decode_line`], its one caller.
+    fn from_json(v: &JsonValue) -> Result<Self, String> {
         let str_of = |name: &str| -> Result<String, String> {
             v.get(name)
                 .and_then(JsonValue::as_str)
@@ -368,13 +343,65 @@ fn canonical_text(kind: &str, seq: u64, t_ns: u64, prev_hash: &str, payload: &Pa
     o.finish()
 }
 
+/// Decodes one complete chain line (its newline stripped) into a
+/// record: the length prefix, then the JSON, then the record fields.
+/// This is the only place a chain line is read:
+/// [`crate::AuditChain::recover`], the auditor and the fleet's genesis
+/// lookup all go through it.
+///
+/// # Errors
+///
+/// Describes the first thing that does not decode. The record's hash
+/// and its place in the chain are *not* checked here; that is the
+/// chain-state fold's job (`fold.rs`).
+pub fn decode_line(line: &str) -> Result<ChainRecord, String> {
+    let json = parse(split_line(line)?).map_err(|e| format!("bad JSON: {e:?}"))?;
+    ChainRecord::from_json(&json)
+}
+
+/// The complete lines of a chain file, each paired with its byte offset
+/// and decoded by [`decode_line`], and the offset where the torn tail
+/// starts (the file's length when it has none). A line is complete only
+/// with its newline, so the bytes after the last one — the record a
+/// crash cut mid-write — are never decoded. A complete line that is not
+/// UTF-8 decodes to an error and ends the walk.
+pub(crate) fn chain_lines(
+    bytes: &[u8],
+) -> (
+    impl Iterator<Item = (usize, Result<ChainRecord, String>)> + '_,
+    usize,
+) {
+    let line_start = |end: usize| {
+        bytes[..end]
+            .iter()
+            .rposition(|&b| b == b'\n')
+            .map_or(0, |nl| nl + 1)
+    };
+    let complete = line_start(bytes.len());
+    let (text, bad) = match std::str::from_utf8(&bytes[..complete]) {
+        Ok(text) => (text, None),
+        Err(e) => {
+            let at = line_start(e.valid_up_to());
+            let valid = std::str::from_utf8(&bytes[..at]).unwrap_or_default();
+            (valid, Some((at, Err("non-UTF-8 bytes".to_string()))))
+        }
+    };
+    let mut offset = 0;
+    let lines = text.split_inclusive('\n').map(move |line| {
+        let at = offset;
+        offset += line.len();
+        (at, decode_line(&line[..line.len() - 1]))
+    });
+    (lines.chain(bad), complete)
+}
+
 /// Splits one chain line into its declared length and JSON text.
 ///
 /// # Errors
 ///
 /// Reports a missing prefix, a non-numeric prefix, or a length/byte
 /// mismatch (the signature of a torn or bit-flipped line).
-pub fn split_line(line: &str) -> Result<&str, String> {
+fn split_line(line: &str) -> Result<&str, String> {
     let (len_text, json) = line
         .split_once(' ')
         .ok_or_else(|| "missing length prefix".to_string())?;
@@ -393,7 +420,6 @@ pub fn split_line(line: &str) -> Result<&str, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hvac_telemetry::json::parse;
 
     fn decision_record() -> ChainRecord {
         ChainRecord::new(
@@ -417,8 +443,7 @@ mod tests {
         let record = decision_record();
         let line = record.to_line();
         assert!(line.ends_with('\n'));
-        let json = split_line(line.trim_end_matches('\n')).unwrap();
-        let parsed = ChainRecord::from_json(&parse(json).unwrap()).unwrap();
+        let parsed = decode_line(line.trim_end_matches('\n')).unwrap();
         assert_eq!(parsed, record);
         assert!(parsed.hash_is_consistent());
     }
@@ -464,8 +489,7 @@ mod tests {
         );
         assert!(!v1.canonical().contains("trace_id"));
         let line = v1.to_line();
-        let parsed =
-            ChainRecord::from_json(&parse(split_line(line.trim_end()).unwrap()).unwrap()).unwrap();
+        let parsed = decode_line(line.trim_end()).unwrap();
         assert_eq!(parsed, v1);
         assert!(parsed.hash_is_consistent());
     }
@@ -478,6 +502,36 @@ mod tests {
             *trace_id = Some("req-spoofed".into());
         }
         assert!(!tampered.hash_is_consistent());
+    }
+
+    #[test]
+    fn chain_lines_decode_complete_lines_only() {
+        let line = decision_record().to_line();
+        let mut bytes = format!("{line}{line}12 {{\"kind\"").into_bytes();
+        let (lines, complete) = chain_lines(&bytes);
+        let offsets: Vec<usize> = lines
+            .map(|(at, record)| {
+                assert!(record.is_ok(), "{record:?}");
+                at
+            })
+            .collect();
+        assert_eq!(offsets, vec![0, line.len()]);
+        assert_eq!(
+            complete,
+            2 * line.len(),
+            "the torn tail starts after line 2"
+        );
+
+        // A complete line that is not UTF-8 is an error at its offset,
+        // and ends the walk.
+        bytes[line.len() + 5] = 0xff;
+        let decoded: Vec<_> = chain_lines(&bytes).0.collect();
+        assert_eq!(decoded.len(), 2);
+        assert_eq!(decoded[1], (line.len(), Err("non-UTF-8 bytes".to_string())));
+        // Non-UTF-8 bytes in the torn tail are never read.
+        let torn = [line.as_bytes(), b"\xff\xfe"].concat();
+        let (lines, complete) = chain_lines(&torn);
+        assert_eq!((lines.count(), complete), (1, line.len()));
     }
 
     #[test]
@@ -553,9 +607,7 @@ mod tests {
         ];
         for record in kinds {
             let json = record.to_line();
-            let parsed =
-                ChainRecord::from_json(&parse(split_line(json.trim_end()).unwrap()).unwrap())
-                    .unwrap();
+            let parsed = decode_line(json.trim_end()).unwrap();
             assert_eq!(parsed, record);
             assert!(parsed.hash_is_consistent(), "kind {}", record.kind);
         }

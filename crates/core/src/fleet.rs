@@ -48,20 +48,21 @@ use crate::serve::{
     decide_value_traced, flight_json, mint_trace_id, observation_from_value, parse_body,
     DECIDE_TIMEOUT, MAX_DECIDE_BODY_BYTES, SERVE_WINDOW_EPOCHS, SERVE_WINDOW_NS,
 };
-use hvac_audit::{AuditChain, ChainConfig, ChainRecord, FlushPolicy, Payload};
+use hvac_audit::record::decode_line;
+use hvac_audit::{AuditChain, ChainConfig, FlushPolicy, Payload};
 use hvac_control::{
     DtPolicy, GuardConfig, GuardRoute, GuardSnapshot, GuardState, GuardTransition, GuardedPolicy,
 };
 use hvac_env::{ComfortRange, Observation, SetpointAction};
 use hvac_telemetry::http::{HttpServer, Request, Response, REQUEST_ID_HEADER};
-use hvac_telemetry::json::{parse, JsonValue, ObjectWriter};
+use hvac_telemetry::json::{JsonValue, ObjectWriter};
 use hvac_telemetry::ring::{FlightRecord, FlightRecorder};
 use hvac_telemetry::slo::{SloConfig, SloTracker};
 use hvac_telemetry::{process_elapsed_ns, warn, windowed_histogram, LATENCY_BOUNDS_NS};
 use hvac_verify::Certificate;
 use std::collections::btree_map::Entry;
 use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
+use std::io::{BufRead as _, BufReader, Write as _};
 use std::net::ToSocketAddrs;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -342,13 +343,14 @@ fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
 /// The policy hash an existing chain's genesis record binds, when the
 /// first line is a readable genesis. Used to decide whether an on-disk
 /// chain belongs to the tenant's current policy (resume it) or to an
-/// older one (archive it and start fresh).
+/// older one (archive it and start fresh). Reads the first line only.
 fn chain_genesis_hash(path: &Path) -> Option<String> {
-    let text = std::fs::read_to_string(path).ok()?;
-    let line = text.lines().next()?;
-    let record =
-        ChainRecord::from_json(&parse(hvac_audit::record::split_line(line).ok()?).ok()?).ok()?;
-    match record.payload {
+    let mut line = String::new();
+    BufReader::new(std::fs::File::open(path).ok()?)
+        .read_line(&mut line)
+        .ok()?;
+    let genesis = decode_line(line.trim_end_matches('\n')).ok()?;
+    match genesis.payload {
         Payload::Genesis { policy_hash, .. } => Some(policy_hash),
         _ => None,
     }

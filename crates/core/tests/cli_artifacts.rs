@@ -3,11 +3,14 @@
 //! augmenter (never refit at a hard-coded noise level), legacy artifact
 //! dirs must fail with a clear message, sweep must be cache-warm
 //! deterministic regardless of thread count, and `audit` must refuse
-//! flags it does not know and survive a reader that hangs up early.
+//! flags it does not know, survive a reader that hangs up early, and
+//! leave a chain `--recover` refuses untouched.
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, Output, Stdio};
-use veri_hvac::audit::{AuditChain, ChainConfig};
+use veri_hvac::audit::{
+    AuditChain, ChainConfig, ChainRecord, Payload, Sha256, CHAIN_FORMAT, GENESIS_PREV_HASH,
+};
 
 const BIN: &str = env!("CARGO_BIN_EXE_veri_hvac");
 
@@ -264,5 +267,57 @@ fn audit_report_to_a_closed_pipe_exits_quietly() {
         assert!(!err.contains("panicked"), "{args:?} panicked: {err}");
         assert!(out.status.success(), "{args:?}: {err}");
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn audit_recover_refuses_a_chain_with_a_bad_checkpoint_and_leaves_it_unchanged() {
+    let dir = temp_dir("recover-bad-checkpoint");
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("chain.jsonl");
+    // Hash-consistent and linked, but the checkpoint claims 5 decisions
+    // over a prefix that has none.
+    let genesis = ChainRecord::new(
+        "genesis",
+        0,
+        0,
+        GENESIS_PREV_HASH.to_string(),
+        Payload::Genesis {
+            format: CHAIN_FORMAT.to_string(),
+            policy_hash: "ab".repeat(32),
+            certificate_id: String::new(),
+            crate_version: "0.1.0".to_string(),
+        },
+    );
+    let mut digest = Sha256::new();
+    digest.update(genesis.record_hash.as_bytes());
+    digest.update(b"\n");
+    let checkpoint = ChainRecord::new(
+        "checkpoint",
+        1,
+        1,
+        genesis.record_hash.clone(),
+        Payload::Checkpoint {
+            records: 1,
+            decisions: 5,
+            transitions: 0,
+            digest: digest.finalize_hex(),
+        },
+    );
+    let text = genesis.to_line() + &checkpoint.to_line();
+    std::fs::write(&path, &text).unwrap();
+
+    let out = run(&["audit", "--chain", path.to_str().unwrap(), "--recover"]);
+    assert!(!out.status.success(), "{}", stdout(&out));
+    assert!(
+        stderr(&out).contains("check `checkpoints`"),
+        "the refusal must name the check: {}",
+        stderr(&out)
+    );
+    assert_eq!(
+        std::fs::read_to_string(&path).unwrap(),
+        text,
+        "a refused recovery must not modify the chain"
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

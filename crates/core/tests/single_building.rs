@@ -13,7 +13,7 @@ use std::sync::Mutex;
 
 use hvac_telemetry::http::{blocking_request_with_headers, header_value, REQUEST_ID_HEADER};
 use hvac_telemetry::json::{parse, JsonValue};
-use veri_hvac::audit::record::split_line;
+use veri_hvac::audit::record::decode_line;
 use veri_hvac::audit::{AuditChain, ChainConfig, ChainRecord, FlushPolicy, Payload};
 use veri_hvac::control::{DtPolicy, GuardConfig, GuardedPolicy};
 use veri_hvac::dtree::{DecisionTree, TreeConfig};
@@ -104,8 +104,7 @@ fn records_without_time(path: &Path) -> Vec<ChainRecord> {
     let text = std::fs::read_to_string(path).unwrap();
     text.lines()
         .map(|line| {
-            let mut record =
-                ChainRecord::from_json(&parse(split_line(line).unwrap()).unwrap()).unwrap();
+            let mut record = decode_line(line).unwrap();
             record.t_ns = 0;
             record.prev_hash.clear();
             record.record_hash.clear();
